@@ -125,8 +125,9 @@ def _initial_field(grid: Grid, init: dict | None, seed: int) -> np.ndarray:
 def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
                      snapshot_every):
     """Shared stepping loop for micromag/solve kinds: records the energy after
-    every step, stepper wall time (exclusive of the recording itself), and
-    mid-plane snapshots at the requested cadence."""
+    every step (its stray part from the field the step carries, so a step
+    costs one convolution), stepper wall time (exclusive of the recording
+    itself), and mid-plane snapshots at the requested cadence."""
     energy_series = [(0, 0.0, energy(params, grid, m0, kernel))]
     timing_series = []
     snapshots = []
@@ -138,8 +139,9 @@ def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
     def on_step(state):
         nonlocal last
         timing_series.append((state.step_index, (time.perf_counter() - last) * 1e3))
-        energy_series.append(
-            (state.step_index, state.t, energy(params, grid, state.m_curr, kernel)))
+        energy_series.append((state.step_index, state.t,
+                              energy(params, grid, state.m_curr, kernel,
+                                     stray=state.hs_curr)))
         if snapshot_every and state.step_index % snapshot_every == 0:
             snapshots.append(
                 (state.step_index, state.m_curr[:, :, :, mid_k:mid_k + 1].copy()))
@@ -172,9 +174,9 @@ def _run_micromag(cfg: ExperimentConfig, full_scale: bool) -> RunRecord:
     n_steps = round(t_final_seconds / dt_seconds)
     snapshot_every = cfg.snapshot_every or 500
 
-    m0 = _initial_field(grid, {"type": "stripes"}, cfg.seed)
+    m0 = _initial_field(grid, cfg.initial or {"type": "stripes"}, cfg.seed)
     result, energy_series, timing_series, snapshots = _timed_integrate(
-        "scheme-a", m0, grid, params, dt, n_steps, kernel=kernel,
+        cfg.scheme or "scheme-a", m0, grid, params, dt, n_steps, kernel=kernel,
         snapshot_every=snapshot_every)
 
     summary = {

@@ -17,7 +17,8 @@ from .manufactured import ManufacturedCase, neel_wall_initial
 from .mesh import Grid, norm_inf, norm_l2, sample_vector
 from .physics import MaterialParams
 from .schemes import (BlowUpError, SchemeState, bdf2_reference_step, gspm1_step,
-                      scheme_a_step, scheme_b_init, scheme_b_step, si2_step)
+                      scheme_a_step, scheme_b_init, scheme_b_step, si2_step,
+                      with_stray_field)
 from .spectral import build_plan
 
 SCHEME_NAMES = ("gspm1", "si2", "scheme-a", "scheme-b", "bdf2-ref")
@@ -47,6 +48,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     Two-level schemes take their first step with the first-order method (one
     such step costs only O(dt^2) globally); the three-solve scheme
     additionally initializes its lagged fields from the first two levels.
+    With the stray field on, h_s(m0) is evaluated here, before the first
+    step; each step then evaluates it once, on its projected result.
     `on_step(state)` is called after every step; `step_kwargs` are forwarded
     to the named scheme's stepper (not the bootstrap), e.g. a Krylov `tol`.
     """
@@ -56,7 +59,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]
     extra = dict(step_kwargs or {})
-    state = SchemeState.from_initial(np.asarray(m0, dtype=float))
+    state = with_stray_field(SchemeState.from_initial(np.asarray(m0, dtype=float)),
+                             params, kernel)
     solves_before = plan.solve_count
     max_dev = 0.0
     for k in range(n_steps):

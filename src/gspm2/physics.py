@@ -196,25 +196,43 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
 
 
 def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
-    """Stray field h_s = -(N * m) by zero-padded fast convolution."""
+    """Stray field h_s = -(N * m) by zero-padded fast convolution.
+
+    The padding is never materialized: the forward transforms run axis by
+    axis (z, then y, then x), each zero-extending its input to the padded
+    length, so rows that are all zero are never transformed. The inverse
+    transforms run in the opposite order and keep only the first n entries
+    of each axis as soon as that axis is done.
+    """
     nx, ny, nz = kernel.grid.shape
-    mp = np.zeros((3,) + kernel.padded_shape)
-    mp[:, :nx, :ny, :nz] = m
-    mf = scipy.fft.rfftn(mp, axes=(1, 2, 3))
+    px, py, pz = kernel.padded_shape
+    mf = scipy.fft.rfft(m, n=pz, axis=3)
+    mf = scipy.fft.fft(mf, n=py, axis=2, overwrite_x=True)
+    mf = scipy.fft.fft(mf, n=px, axis=1, overwrite_x=True)
     K = kernel.fft
-    hf = np.stack([
-        K["xx"] * mf[0] + K["xy"] * mf[1] + K["xz"] * mf[2],
-        K["xy"] * mf[0] + K["yy"] * mf[1] + K["yz"] * mf[2],
-        K["xz"] * mf[0] + K["yz"] * mf[1] + K["zz"] * mf[2],
-    ])
-    conv = scipy.fft.irfftn(hf, s=kernel.padded_shape, axes=(1, 2, 3))
-    return -conv[:, :nx, :ny, :nz]
+    rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
+    hf = np.empty_like(mf)
+    term = np.empty_like(mf[0])
+    for out, row in zip(hf, rows):
+        np.multiply(K[row[0]], mf[0], out=out)
+        for comp, mj in zip(row[1:], mf[1:]):
+            out += np.multiply(K[comp], mj, out=term)
+    del mf
+    h = scipy.fft.ifft(hf, axis=1, overwrite_x=True)[:, :nx]
+    h = scipy.fft.ifft(h, axis=2, overwrite_x=True)[:, :, :ny]
+    h = scipy.fft.irfft(h, n=pz, axis=3)[..., :nz]
+    return -h
 
 
 def local_field(params: MaterialParams, m: np.ndarray,
-                kernel: DemagKernel | None = None) -> np.ndarray:
-    """Pointwise effective-field part f(m) = -q(m2 e2 + m3 e3) + h_ext + h_s."""
-    if params.stray_enabled and kernel is None:
+                kernel: DemagKernel | None = None, *,
+                stray: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise effective-field part f(m) = -q(m2 e2 + m3 e3) + h_ext + h_s.
+
+    `stray`, when given, is taken as h_s(m) in place of a convolution; the
+    integrators pass the stray field they carry from step to step.
+    """
+    if params.stray_enabled and kernel is None and stray is None:
         raise ValueError("stray field enabled but no demag kernel supplied")
     f = np.zeros_like(np.asarray(m, dtype=float))
     if params.q != 0.0:
@@ -223,20 +241,22 @@ def local_field(params: MaterialParams, m: np.ndarray,
     if any(c != 0.0 for c in params.h_ext):
         f += np.asarray(params.h_ext, dtype=float)[:, None, None, None]
     if params.stray_enabled:
-        f += demag_field(kernel, m)
+        f += demag_field(kernel, m) if stray is None else stray
     return f
 
 
 def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
-           kernel: DemagKernel | None = None, stray_self_half: bool = False) -> float:
+           kernel: DemagKernel | None = None, *,
+           stray: np.ndarray | None = None) -> float:
     """Dimensionless free energy of a unit-magnetization field.
 
-    (1/2) sum of [eps |grad_h m|^2 + q (m2^2 + m3^2) - 2 h_ext.m - 2 h_s.m]
+    (1/2) sum of [eps |grad_h m|^2 + q (m2^2 + m3^2) - 2 h_ext.m - h_s.m]
     per cell volume. The exchange gradient uses forward differences across
     interior faces (each face once), which pairs with the mirrored Laplacian
-    under summation by parts. stray_self_half=True replaces the stray term
-    with the conventional self-energy -(1/2) sum h_s.m; the default keeps the
-    -2 h_s.m form of the dimensionless functional.
+    under summation by parts, and h_s is linear and symmetric in m, so the
+    gradient of this functional is exactly -(eps Lap m + f(m)) vol: it is the
+    Lyapunov functional of the dynamics the integrators discretize. `stray`,
+    when given, is taken as h_s(m) in place of a convolution.
     """
     m = np.asarray(m, dtype=float)
     mag2 = (m * m).sum(axis=0)
@@ -255,9 +275,9 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
         he = np.asarray(params.h_ext, dtype=float)[:, None, None, None]
         total -= (he * m).sum() * vol
     if params.stray_enabled:
-        if kernel is None:
-            raise ValueError("stray field enabled but no demag kernel supplied")
-        hs = demag_field(kernel, m)
-        factor = 0.5 if stray_self_half else 1.0
-        total -= factor * (hs * m).sum() * vol
+        if stray is None:
+            if kernel is None:
+                raise ValueError("stray field enabled but no demag kernel supplied")
+            stray = demag_field(kernel, m)
+        total -= 0.5 * (stray * m).sum() * vol
     return float(total)

@@ -18,21 +18,26 @@ non-Gauss-Seidel baseline, `gspm1_step` the first-order method used to
 bootstrap the two-level schemes, and `bdf2_reference_step` a fully coupled
 semi-implicit solve used as a reference integrator.
 
-The pointwise field f(m) (anisotropy, applied, stray) is evaluated once per
-step from the extrapolated state; in particular the stray field is never
-refreshed inside the Gauss-Seidel sweep unless explicitly requested.
+The pointwise field f(m) (anisotropy, applied, stray) enters each step once,
+at the extrapolated state, and is never refreshed inside the Gauss-Seidel
+sweep. Anisotropy and the applied field are evaluated at m_hat directly. The
+stray field is linear in m, so h_s(m_hat) = 2 h_s(m^n) - h_s(m^(n-1)) exactly
+in exact arithmetic: the state carries h_s of its two levels, and each step
+evaluates the stray field once, by one convolution of the projected
+m^(n+1) in `_finish`. The first-order step uses h_s(m^n) as carried. Runs
+without a stray field carry nothing and call `local_field` as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg
 
 from . import spectral
 from .mesh import laplacian
-from .physics import DemagKernel, MaterialParams, local_field
+from .physics import DemagKernel, MaterialParams, demag_field, local_field
 
 BLOWUP_MAGNITUDE = 10.0
 PROJECTION_FLOOR = 1e-12
@@ -52,11 +57,14 @@ class KrylovError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Two magnetization time levels plus optional lagged auxiliary fields.
+    """Two magnetization time levels plus optional carried fields.
 
     g_prev and d_prev are populated only for three-solve (scheme B) runs,
     after :func:`scheme_b_init`: g_prev approximates L^(-1)(m_hat + dt f) at
     the current extrapolation, d_prev approximates L^(-1)(m^n - m^(n-1)).
+    hs_prev and hs_curr are the stray fields h_s(m^(n-1)) and h_s(m^n) of
+    runs with the stray field on; a state built without them gets them at
+    its first step.
     """
 
     m_prev: np.ndarray
@@ -65,6 +73,8 @@ class SchemeState:
     step_index: int = 0
     g_prev: np.ndarray | None = None
     d_prev: np.ndarray | None = None
+    hs_prev: np.ndarray | None = None
+    hs_curr: np.ndarray | None = None
 
     @classmethod
     def from_initial(cls, m0: np.ndarray) -> "SchemeState":
@@ -110,8 +120,33 @@ def unit_length_deviation(m: np.ndarray) -> float:
     return float(np.abs(mag - 1.0).max())
 
 
-def _field_of(params: MaterialParams, m: np.ndarray, kernel) -> np.ndarray | None:
-    return local_field(params, m, kernel) if params.has_local_field else None
+def with_stray_field(state: SchemeState, params: MaterialParams,
+                     kernel: DemagKernel | None) -> SchemeState:
+    """The state with h_s of both levels filled in, if the run has a stray
+    field and the state lacks them; one convolution when the levels are the
+    same array (an initial state), two otherwise."""
+    if not params.stray_enabled or state.hs_curr is not None:
+        return state
+    if kernel is None:
+        raise ValueError("stray field enabled but no demag kernel supplied")
+    hs_curr = demag_field(kernel, state.m_curr)
+    hs_prev = (hs_curr if state.m_prev is state.m_curr
+               else demag_field(kernel, state.m_prev))
+    return replace(state, hs_prev=hs_prev, hs_curr=hs_curr)
+
+
+def _field_of(params: MaterialParams, m: np.ndarray,
+              stray: np.ndarray | None) -> np.ndarray | None:
+    return local_field(params, m, stray=stray) if params.has_local_field else None
+
+
+def _field_at_hat(state: SchemeState, params: MaterialParams,
+                  m_hat: np.ndarray) -> np.ndarray | None:
+    """f(m_hat), its stray part 2 h_s(m^n) - h_s(m^(n-1)) from the carried pair."""
+    stray = None
+    if state.hs_curr is not None:
+        stray = 2.0 * state.hs_curr - state.hs_prev
+    return _field_of(params, m_hat, stray)
 
 
 def _source_of(source, grid, t: float) -> np.ndarray | None:
@@ -122,11 +157,15 @@ def _source_of(source, grid, t: float) -> np.ndarray | None:
 
 
 def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
-            g_prev=None, d_prev=None) -> SchemeState:
+            params: MaterialParams, kernel, g_prev=None,
+            d_prev=None) -> SchemeState:
+    """Project onto the sphere; evaluate the step's one stray field on the
+    projected m^(n+1) and shift the carried pair along."""
     m_next = _normalized(m_star, context, BLOWUP_MAGNITUDE)
+    hs_next = demag_field(kernel, m_next) if params.stray_enabled else None
     return SchemeState(m_prev=state.m_curr, m_curr=m_next, t=state.t + dt,
                        step_index=state.step_index + 1, g_prev=g_prev,
-                       d_prev=d_prev)
+                       d_prev=d_prev, hs_prev=state.hs_curr, hs_curr=hs_next)
 
 
 def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
@@ -139,9 +178,10 @@ def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectr
     components before they feed the later rows. Only m_curr of the state is
     consumed, so this also bootstraps the two-level methods.
     """
+    state = with_stray_field(state, params, kernel)
     a = params.eps * dt
     m1, m2, m3 = state.m_curr
-    phi = _field_of(params, state.m_curr, kernel)
+    phi = _field_of(params, state.m_curr, state.hs_curr)
 
     def rhs(i, comp):
         return comp if phi is None else comp + dt * phi[i]
@@ -173,7 +213,7 @@ def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectr
         m3s += dt * src[2]
 
     return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"first-order step {state.step_index}")
+                   f"first-order step {state.step_index}", params, kernel)
 
 
 def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
@@ -185,10 +225,11 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
     five-solve variant improves on. The damping triple product is expanded as
     (m_hat . G) m_hat - |m_hat|^2 G since |m_hat| differs from 1.
     """
+    state = with_stray_field(state, params, kernel)
     m_hat = extrapolate(state.m_prev, state.m_curr)
     a = params.eps * dt
     b = a * a
-    phi = _field_of(params, m_hat, kernel)
+    phi = _field_at_hat(state, params, m_hat)
     m_star = np.stack([
         spectral.solve(plan, m_hat[i] if phi is None else m_hat[i] + dt * phi[i], a, b)
         for i in range(3)
@@ -205,13 +246,13 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
         m_tilde += dt * src
     m_tilde *= 2.0 / 3.0
 
-    return _finish(state, m_tilde, dt, f"plain second-order step {state.step_index}")
+    return _finish(state, m_tilde, dt, f"plain second-order step {state.step_index}",
+                   params, kernel)
 
 
 def scheme_a_step(state: SchemeState, params: MaterialParams,
                   plan: spectral.SpectralPlan, dt: float, *,
-                  kernel: DemagKernel | None = None, source=None,
-                  refresh_field_per_stage: bool = False) -> SchemeState:
+                  kernel: DemagKernel | None = None, source=None) -> SchemeState:
     """One step of the five-solve Gauss-Seidel method (unconditional stability).
 
     Sequence: solve g_i* = L^(-1)(m_hat_i + dt f_i(m_hat)) for i = 1, 2, 3;
@@ -220,23 +261,21 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
     m_hat_1 does, and re-solve its auxiliary field; same for the second
     component; update the third. Second order in time. The |m_hat|^2 and
     dot-product factors always use the freshest available components.
-    f(m_hat), including the stray field, is evaluated once before the solves;
-    refresh_field_per_stage=True re-evaluates it from the partially refreshed
-    extrapolation before each mid-step solve (an experiment knob, off by
-    default and not used by the benchmarks).
+    f(m_hat), including the stray field, enters every solve of the step.
     """
+    state = with_stray_field(state, params, kernel)
     m_hat = extrapolate(state.m_prev, state.m_curr)
     mh1, mh2, mh3 = m_hat
     a = params.eps * dt
     b = a * a
-    phi = _field_of(params, m_hat, kernel)
+    phi = _field_at_hat(state, params, m_hat)
 
-    def rhs(i, comp, phi_now):
-        return comp if phi_now is None else comp + dt * phi_now[i]
+    def rhs(i, comp):
+        return comp if phi is None else comp + dt * phi[i]
 
-    g1 = spectral.solve(plan, rhs(0, mh1, phi), a, b)
-    g2 = spectral.solve(plan, rhs(1, mh2, phi), a, b)
-    g3 = spectral.solve(plan, rhs(2, mh3, phi), a, b)
+    g1 = spectral.solve(plan, rhs(0, mh1), a, b)
+    g2 = spectral.solve(plan, rhs(1, mh2), a, b)
+    g3 = spectral.solve(plan, rhs(2, mh3), a, b)
     src = _source_of(source, plan.grid, state.t + dt)
     al = params.alpha
     mp, mc = state.m_prev, state.m_curr
@@ -249,11 +288,7 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
         m1s += dt * src[0]
     m1s *= 2.0 / 3.0
     mh1s = 2.0 * m1s - 2.0 * mc[0] + mp[0]
-
-    phi_1 = phi
-    if refresh_field_per_stage and phi is not None:
-        phi_1 = local_field(params, np.stack([mh1s, mh2, mh3]), kernel)
-    g1n = spectral.solve(plan, rhs(0, mh1s, phi_1), a, b)
+    g1n = spectral.solve(plan, rhs(0, mh1s), a, b)
 
     m2s = (2.0 * mc[1] - 0.5 * mp[1]
            - (mh3 * g1n - mh1s * g3)
@@ -263,11 +298,7 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
         m2s += dt * src[1]
     m2s *= 2.0 / 3.0
     mh2s = 2.0 * m2s - 2.0 * mc[1] + mp[1]
-
-    phi_2 = phi_1
-    if refresh_field_per_stage and phi is not None:
-        phi_2 = local_field(params, np.stack([mh1s, mh2s, mh3]), kernel)
-    g2n = spectral.solve(plan, rhs(1, mh2s, phi_2), a, b)
+    g2n = spectral.solve(plan, rhs(1, mh2s), a, b)
 
     m3s = (2.0 * mc[2] - 0.5 * mp[2]
            - (mh1s * g2n - mh2s * g1n)
@@ -278,7 +309,7 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
     m3s *= 2.0 / 3.0
 
     return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"five-solve step {state.step_index}")
+                   f"five-solve step {state.step_index}", params, kernel)
 
 
 def scheme_b_init(state: SchemeState, params: MaterialParams,
@@ -291,16 +322,16 @@ def scheme_b_init(state: SchemeState, params: MaterialParams,
     included. Expects a state holding m^0 and m^1 (the latter from one
     first-order bootstrap step). Six solves, once per run.
     """
+    state = with_stray_field(state, params, kernel)
     a = params.eps * dt
     b = a * a
     m_hat = extrapolate(state.m_prev, state.m_curr)
-    phi = _field_of(params, m_hat, kernel)
+    phi = _field_at_hat(state, params, m_hat)
     rhs = m_hat if phi is None else m_hat + dt * phi
     g0 = np.stack([spectral.solve(plan, rhs[i], a, b) for i in range(3)])
     d0 = np.stack([spectral.solve(plan, state.m_curr[i] - state.m_prev[i], a, b)
                    for i in range(3)])
-    return SchemeState(m_prev=state.m_prev, m_curr=state.m_curr, t=state.t,
-                       step_index=state.step_index, g_prev=g0, d_prev=d0)
+    return replace(state, g_prev=g0, d_prev=d0)
 
 
 def scheme_b_step(state: SchemeState, params: MaterialParams,
@@ -319,12 +350,13 @@ def scheme_b_step(state: SchemeState, params: MaterialParams,
     """
     if state.g_prev is None or state.d_prev is None:
         raise ValueError("three-solve scheme requires scheme_b_init() first")
+    state = with_stray_field(state, params, kernel)
     g1p, g2p, g3p = state.g_prev
     m_hat = extrapolate(state.m_prev, state.m_curr)
     mh1, mh2, mh3 = m_hat
     a = params.eps * dt
     b = a * a
-    phi = _field_of(params, m_hat, kernel)
+    phi = _field_at_hat(state, params, m_hat)
 
     def rhs(i, comp):
         return comp if phi is None else comp + dt * phi[i]
@@ -365,7 +397,7 @@ def scheme_b_step(state: SchemeState, params: MaterialParams,
 
     q = np.stack([q1, q2, q3])
     return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"three-solve step {state.step_index}",
+                   f"three-solve step {state.step_index}", params, kernel,
                    g_prev=q + state.d_prev,
                    d_prev=0.5 * (q + 2.0 * state.d_prev - state.g_prev))
 
@@ -381,9 +413,10 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     f(m_hat)] + dt g for the three coupled components, preconditioned by the
     per-component heat solve (I - (2/3) eps dt Lap)^(-1), then projects.
     """
+    state = with_stray_field(state, params, kernel)
     grid = plan.grid
     m_hat = extrapolate(state.m_prev, state.m_curr)
-    phi = _field_of(params, m_hat, kernel)
+    phi = _field_at_hat(state, params, m_hat)
     src = _source_of(source, grid, state.t + dt)
     al = params.alpha
 
@@ -427,4 +460,4 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
             f"residual {residual:.3e}) at step {state.step_index}", residual)
 
     return _finish(state, sol.reshape(shape), dt,
-                   f"coupled reference step {state.step_index}")
+                   f"coupled reference step {state.step_index}", params, kernel)

@@ -26,8 +26,10 @@ class SpectralPlan:
     """Precomputed DCT diagonalization of the mirrored Laplacian on one grid.
 
     Immutable after construction apart from `solve_count`, a plain call
-    counter used by tests to pin the per-step solve budget of the schemes
-    (not thread safe; everything else is).
+    counter used by tests to pin the per-step solve budget of the schemes,
+    and the most recent solve symbol, kept with its (a, b) so that the
+    solves of one step share it. One entry, not a table: a CFL bisection
+    solves with a fresh dt on every probe. Not thread safe.
     """
 
     def __init__(self, grid: Grid):
@@ -43,6 +45,8 @@ class SpectralPlan:
         # length-1 axes transform to themselves; skip them
         self._axes = tuple(ax for ax, n in enumerate(grid.shape) if n > 1) or (0,)
         self.solve_count = 0
+        self._symbol_key = None
+        self._symbol = None
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         return scipy.fft.dctn(u, type=2, norm="ortho", axes=self._axes)
@@ -51,7 +55,16 @@ class SpectralPlan:
         return scipy.fft.idctn(u_hat, type=2, norm="ortho", axes=self._axes)
 
     def symbol(self, a: float, b: float) -> np.ndarray:
-        return 1.0 - a * self.lam + b * self.lam * self.lam
+        """1 - a*lam + b*lam^2 on every mode; raises ValueError unless it is
+        >= 1 everywhere (the invertibility guarantee the solves rely on)."""
+        if self._symbol_key != (a, b):
+            sym = 1.0 - a * self.lam + b * self.lam * self.lam
+            if not sym.min() >= 1.0 - 1e-12:
+                raise ValueError(f"solve symbol minimum {sym.min():.6g} below 1 "
+                                 f"for a={a}, b={b}")
+            sym.flags.writeable = False
+            self._symbol_key, self._symbol = (a, b), sym
+        return self._symbol
 
 
 def build_plan(grid: Grid) -> SpectralPlan:
@@ -67,8 +80,6 @@ def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.nda
     if not (np.isfinite(a) and np.isfinite(b) and a >= 0.0 and b >= 0.0):
         raise ValueError(f"coefficients must be finite and >= 0, got a={a}, b={b}")
     sym = plan.symbol(a, b)
-    # invertibility guarantee: symbol >= 1 for every mode
-    assert sym.min() >= 1.0 - 1e-12
     plan.solve_count += 1
     return plan.inverse(plan.forward(np.asarray(f, dtype=float)) / sym)
 

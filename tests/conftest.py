@@ -1,3 +1,5 @@
+import pytest
+
 ACCEPTANCE_LINES = []
 
 
@@ -12,3 +14,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def demag_calls(monkeypatch):
+    """A list that grows by one entry per demag_field call, whether made
+    directly by the integrators or through local_field/energy."""
+    from gspm2 import physics, schemes
+    calls = []
+    demag_field = physics.demag_field
+
+    def counted(kernel, m):
+        calls.append(1)
+        return demag_field(kernel, m)
+
+    monkeypatch.setattr(schemes, "demag_field", counted)
+    monkeypatch.setattr(physics, "demag_field", counted)
+    return calls

@@ -304,10 +304,14 @@ class TestCriterion10ThinFilmStability:
         eT = record.summary["terminal_energy"]
         dev = record.summary["max_unit_deviation"]
         UNIT_DEVIATIONS.append(dev)
+        energies = [e for _, _, e in record.energy_series]
+        rises = sum(b > a for a, b in zip(energies, energies[1:]))
         ok = eT < e0 and dev <= 4 * EPS64
         record_acceptance(f"criterion 10: thin film 2 ns at alpha={alpha}, "
                           "once-per-step stray field", ok,
-                          f"E0={e0:.4e} -> ET={eT:.4e}, max dev {dev:.1e}")
+                          f"E0={e0:.4e} -> ET={eT:.4e}, {rises} of "
+                          f"{len(energies) - 1} steps raise the energy, "
+                          f"max dev {dev:.1e}")
         assert ok
 
 

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 
+from gspm2 import physics
 from gspm2.cli import emit, main, run
 from gspm2.config import ExperimentConfig
+from gspm2.convergence import integrate
 from gspm2.io import write_json
+from gspm2.mesh import Grid
 
 SOLVE_UNIFORM = {
     "kind": "solve", "scheme": "scheme-a", "grid": [4, 3, 1],
@@ -56,6 +59,39 @@ class TestRunSolve:
         for name in ("energy.csv", "report.json", "config.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+MICROMAG_SMALL = {"kind": "micromag", "alpha": 0.1, "grid": [16, 16, 2],
+                  "dt_seconds": 1e-12, "t_final_seconds": 1e-11}
+
+
+class TestRunMicromag:
+    def test_scheme_initial_and_seed_are_honoured(self):
+        default = run(ExperimentConfig.from_dict(MICROMAG_SMALL))
+        chosen = dict(MICROMAG_SMALL, scheme="scheme-b",
+                      initial={"type": "random"}, seed=7)
+        rec = run(ExperimentConfig.from_dict(chosen))
+        assert rec.summary != default.summary
+
+        s = rec.summary
+        grid = Grid(16, 16, 2, 1.0, 1.0, 0.02)
+        params = physics.MaterialParams(eps=s["eps"], alpha=0.1, q=s["q"],
+                                        stray_enabled=True)
+        kernel = physics.build_demag_kernel(grid)
+        m0 = np.random.default_rng(7).standard_normal((3,) + grid.shape)
+        m0 /= np.sqrt((m0 * m0).sum(axis=0))
+        res = integrate("scheme-b", m0, grid, params, s["dt_dimensionless"], 10,
+                        kernel=kernel)
+        assert np.array_equal(rec.final_field, res.state.m_curr)
+        assert s["initial_energy"] == physics.energy(params, grid, m0, kernel)
+        assert s["terminal_energy"] == physics.energy(params, grid,
+                                                      res.state.m_curr, kernel)
+
+    def test_one_convolution_per_step(self, demag_calls):
+        rec = run(ExperimentConfig.from_dict(MICROMAG_SMALL))
+        # the initial energy and the integrator's h_s(m0), then one per step;
+        # the energy after each step reuses the step's stray field
+        assert len(demag_calls) == rec.summary["n_steps"] + 2
 
 
 class TestMainExitCodes:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gspm2.mesh import Grid, sample_vector
+from gspm2.mesh import Grid, laplacian, sample_vector
 from gspm2.physics import (MU0, MaterialParams, PhysicalConstants,
                            build_demag_kernel, demag_field, demag_tensor_entry,
                            energy, local_field, nondimensionalize)
@@ -104,23 +104,25 @@ class TestDemagField:
         assert np.abs(center[:2]).max() < 1e-10
 
     def test_matches_direct_summation(self):
-        g = Grid(4, 4, 2, 1.0, 1.0, 0.5)
-        k = build_demag_kernel(g)
+        # odd and length-1 axes exercise the pruned transforms' padding
         rng = np.random.default_rng(21)
-        m = rng.standard_normal((3,) + g.shape)
-        hs = demag_field(k, m)
-        direct = np.zeros_like(m)
-        cells = list(itertools.product(range(4), range(4), range(2)))
         comps = ("xx", "xy", "xz", "yy", "yz", "zz")
-        for (i, j, kk) in cells:
-            for (p, q, r) in cells:
-                off = ((i - p) * g.hx, (j - q) * g.hy, (kk - r) * g.hz)
-                n = {c: demag_tensor_entry(c, *off, g.spacing) for c in comps}
-                N = np.array([[n["xx"], n["xy"], n["xz"]],
-                              [n["xy"], n["yy"], n["yz"]],
-                              [n["xz"], n["yz"], n["zz"]]])
-                direct[:, i, j, kk] -= N @ m[:, p, q, r]
-        assert np.abs(hs - direct).max() < 1e-10
+        for shape in ((4, 4, 2), (5, 3, 1), (1, 4, 2)):
+            g = Grid(*shape, 1.0, 1.0, 0.5)
+            k = build_demag_kernel(g)
+            m = rng.standard_normal((3,) + g.shape)
+            hs = demag_field(k, m)
+            direct = np.zeros_like(m)
+            cells = list(itertools.product(*(range(n) for n in shape)))
+            for (i, j, kk) in cells:
+                for (p, q, r) in cells:
+                    off = ((i - p) * g.hx, (j - q) * g.hy, (kk - r) * g.hz)
+                    n = {c: demag_tensor_entry(c, *off, g.spacing) for c in comps}
+                    N = np.array([[n["xx"], n["xy"], n["xz"]],
+                                  [n["xy"], n["yy"], n["yz"]],
+                                  [n["xz"], n["yz"], n["zz"]]])
+                    direct[:, i, j, kk] -= N @ m[:, p, q, r]
+            assert np.abs(hs - direct).max() < 1e-10, shape
 
     def test_linearity_and_symmetry(self):
         g = Grid(3, 2, 2, 1.0, 0.8, 0.6)
@@ -156,6 +158,15 @@ class TestLocalField:
         m = uniform_field(g, (1, 0, 0))
         f = local_field(params, m)
         assert np.allclose(f[2], 0.5) and np.abs(f[[0, 1]]).max() == 0.0
+
+    def test_given_stray_field_replaces_the_convolution(self):
+        g = Grid(3, 2, 2, 1.0, 1.0, 0.5)
+        params = MaterialParams(eps=1.0, alpha=0.1, q=0.4, stray_enabled=True)
+        k = build_demag_kernel(g)
+        m = np.random.default_rng(24).standard_normal((3,) + g.shape)
+        hs = demag_field(k, m)
+        assert np.array_equal(local_field(params, m, stray=hs),
+                              local_field(params, m, k))
 
     def test_missing_kernel_raises(self):
         g = Grid(2, 2, 1, 1.0, 1.0, 1.0)
@@ -201,15 +212,36 @@ class TestEnergy:
         assert np.isclose(energy(params, g, m), energy(params, g, m_rot),
                           rtol=1e-12)
 
-    def test_stray_half_switch(self):
+    def test_stray_self_energy(self):
         g = Grid(4, 4, 1, 1.0, 1.0, 0.1)
         params = MaterialParams(eps=1.0, alpha=0.1, stray_enabled=True)
         k = build_demag_kernel(g)
         m = uniform_field(g, (0, 0, 1))
-        e_full = energy(params, g, m, kernel=k)
-        e_half = energy(params, g, m, kernel=k, stray_self_half=True)
-        assert np.isclose(e_half, 0.5 * e_full, rtol=1e-12)
-        assert e_full > 0.0   # out-of-plane film pays stray-field energy
+        hs = demag_field(k, m)
+        e = energy(params, g, m, k)
+        assert np.isclose(e, -0.5 * (hs * m).sum() * g.cell_volume, rtol=1e-12)
+        assert e > 0.0   # out-of-plane film pays stray-field energy
+        assert energy(params, g, m, stray=hs) == e
+
+    def test_gradient_is_minus_effective_field(self):
+        # energy() is the Lyapunov functional of the dynamics: its derivative
+        # along a tangent v is -sum h_eff.v vol, h_eff = eps Lap m + f(m)
+        g = Grid(6, 5, 2, 1.0, 0.8, 0.1)
+        params = MaterialParams(eps=0.02, alpha=0.1, q=0.3,
+                                h_ext=(0.1, 0.0, 0.05), stray_enabled=True)
+        k = build_demag_kernel(g)
+        rng = np.random.default_rng(25)
+        m = rng.standard_normal((3,) + g.shape)
+        m /= np.sqrt((m * m).sum(axis=0))
+        v = rng.standard_normal(m.shape)
+        v -= (v * m).sum(axis=0) * m
+        v /= np.sqrt((v * v).sum(axis=0))
+        delta = 1e-4
+        fd = (energy(params, g, m + delta * v, k)
+              - energy(params, g, m - delta * v, k)) / (2 * delta)
+        h_eff = params.eps * laplacian(g, m) + local_field(params, m, k)
+        expected = -(h_eff * v).sum() * g.cell_volume
+        assert abs(fd - expected) <= 1e-6 * abs(expected)
 
     def test_warns_off_sphere(self):
         g = Grid(2, 1, 1, 1.0, 1.0, 1.0)

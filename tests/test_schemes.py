@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gspm2 import physics, schemes
 from gspm2.convergence import integrate, observed_order
 from gspm2.manufactured import case_1d
 from gspm2.mesh import Grid, norm_inf, sample_vector
-from gspm2.physics import MaterialParams
+from gspm2.physics import MaterialParams, build_demag_kernel
 from gspm2.schemes import (BlowUpError, SchemeState, bdf2_reference_step,
                            extrapolate, gspm1_step, project, scheme_a_step,
                            scheme_b_init, scheme_b_step, si2_step,
@@ -123,24 +124,56 @@ class TestSolveCounts:
         assert budgets["gspm1"] == 5
 
 
-class TestFieldRefreshFlag:
-    def test_per_stage_refresh_runs_and_differs(self):
-        from gspm2.physics import build_demag_kernel
-        grid = Grid(6, 6, 1, 1.0, 1.0, 0.1)
+def stray_film():
+    grid = Grid(6, 5, 2, 1.0, 0.8, 0.1)
+    params = MaterialParams(eps=0.05, alpha=0.1, q=0.3, h_ext=(0.0, 0.1, 0.0),
+                            stray_enabled=True)
+    return grid, params, build_demag_kernel(grid)
+
+
+class TestCarriedStrayField:
+    @pytest.mark.parametrize("name", sorted(ALL_STEPPERS))
+    def test_one_convolution_per_step(self, name, demag_calls):
+        grid, params, kernel = stray_film()
+        seen = []
+        integrate(name, random_unit_field(grid, 31), grid, params, 1e-3, 6,
+                  kernel=kernel, on_step=lambda st: seen.append(len(demag_calls)))
+        # h_s(m0) before the first step, then one per step
+        assert seen == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("name", sorted(ALL_STEPPERS))
+    def test_matches_recomputed_field(self, name, monkeypatch):
+        grid, params, kernel = stray_film()
+        m0 = random_unit_field(grid, 32)
+        carried = integrate(name, m0, grid, params, 1e-3, 6, kernel=kernel)
+        # the same run with f(m_hat) convolved afresh at every evaluation
+        monkeypatch.setattr(schemes, "local_field",
+                            lambda p, m, k=None, *, stray=None:
+                            physics.local_field(p, m, kernel))
+        fresh = integrate(name, m0, grid, params, 1e-3, 6, kernel=kernel)
+        assert np.abs(carried.state.m_curr - fresh.state.m_curr).max() <= 1e-12
+
+    def test_hand_built_state_gets_the_pair(self):
+        grid, params, kernel = stray_film()
         plan = build_plan(grid)
-        params = MaterialParams(eps=1.0, alpha=0.1, q=0.2, stray_enabled=True)
-        kernel = build_demag_kernel(grid)
-        m0 = random_unit_field(grid, 19)
-        st = gspm1_step(SchemeState.from_initial(m0), params, plan, 1e-3,
-                        kernel=kernel)
-        once = scheme_a_step(st, params, plan, 1e-3, kernel=kernel)
-        staged = scheme_a_step(st, params, plan, 1e-3, kernel=kernel,
-                               refresh_field_per_stage=True)
-        # both unit length; the experiment knob changes the trajectory a bit
-        assert unit_length_deviation(once.m_curr) <= 4 * EPS64
-        assert unit_length_deviation(staged.m_curr) <= 4 * EPS64
-        diff = np.abs(once.m_curr - staged.m_curr).max()
-        assert 0.0 < diff < 1e-4
+        m0, m1 = random_unit_field(grid, 33), random_unit_field(grid, 34)
+        out = scheme_a_step(SchemeState(m_prev=m0, m_curr=m1), params, plan,
+                            1e-3, kernel=kernel)
+        filled = SchemeState(m_prev=m0, m_curr=m1,
+                             hs_prev=physics.demag_field(kernel, m0),
+                             hs_curr=physics.demag_field(kernel, m1))
+        assert np.array_equal(
+            out.m_curr,
+            scheme_a_step(filled, params, plan, 1e-3, kernel=kernel).m_curr)
+        assert np.array_equal(out.hs_prev, filled.hs_curr)
+        assert np.array_equal(out.hs_curr, physics.demag_field(kernel, out.m_curr))
+
+    def test_stray_free_state_carries_nothing(self):
+        grid = Grid(6, 5, 2, 1.0, 0.8, 0.1)
+        params = MaterialParams(eps=0.05, alpha=0.1, q=0.3)
+        res = integrate("scheme-a", random_unit_field(grid, 35), grid, params,
+                        1e-3, 3)
+        assert res.state.hs_prev is None and res.state.hs_curr is None
 
 
 class TestSchemeBInit:

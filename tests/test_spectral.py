@@ -106,6 +106,25 @@ class TestSolve:
         assert plan.solve_count == before + 2
 
 
+    def test_symbol_kept_for_its_coefficients(self):
+        plan = build_plan(Grid(5, 3, 2, 1.0, 1.0, 1.0))
+        sym = plan.symbol(0.1, 0.01)
+        assert plan.symbol(0.1, 0.01) is sym
+        assert np.array_equal(sym, 1.0 - 0.1 * plan.lam + 0.01 * plan.lam * plan.lam)
+        assert not sym.flags.writeable
+        f = np.random.default_rng(6).standard_normal(plan.grid.shape)
+        u = solve(plan, f, 0.2, 0.0)
+        assert plan.symbol(0.2, 0.0) is not sym
+        assert np.array_equal(u, plan.inverse(plan.forward(f)
+                                              / (1.0 - 0.2 * plan.lam)))
+
+    def test_symbol_below_one_raises(self):
+        # a check, not an assert: it must hold under python -O too
+        plan = build_plan(Grid.line(4))
+        with pytest.raises(ValueError, match="below 1"):
+            plan.symbol(0.0, -1.0)
+
+
 class TestDenseOracle:
     def test_operator_matrix_symmetric(self):
         g = Grid(3, 3, 2, 1.0, 1.2, 0.9)
