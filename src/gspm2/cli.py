@@ -19,7 +19,8 @@ import numpy as np
 
 from . import convergence as conv
 from . import io as gio
-from .config import DEFAULT_CONSTANTS, KINDS, ConfigError, ExperimentConfig
+from .config import (_MICROMAG_DT_SECONDS, _MICROMAG_T_FINAL_SECONDS,
+                     DEFAULT_CONSTANTS, KINDS, ConfigError, ExperimentConfig)
 from .manufactured import case_1d, case_3d, neel_wall_initial
 from .mesh import Grid, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
@@ -49,36 +50,31 @@ def _manufactured_case(name: str, alpha: float):
     return case_1d(alpha) if name == "mms-1d" else case_3d(alpha)
 
 
-def _run_converge_time(cfg: ExperimentConfig) -> RunRecord:
-    case = _manufactured_case(cfg.case, cfg.alpha)
-    report = conv.run_time_convergence(cfg.scheme, case, cfg.dx, cfg.dt_list,
-                                       cfg.t_final)
+def _convergence_record(cfg: ExperimentConfig, report) -> RunRecord:
     return RunRecord(config=cfg.to_dict(), report=report.to_dict(),
                      error_rows=report.points,
                      summary={"order": report.order_inf,
                               "order_l2": report.order_l2})
+
+
+def _run_converge_time(cfg: ExperimentConfig) -> RunRecord:
+    case = _manufactured_case(cfg.case, cfg.alpha)
+    return _convergence_record(cfg, conv.run_time_convergence(
+        cfg.scheme, case, cfg.dx, cfg.dt_list, cfg.t_final))
 
 
 def _run_converge_space(cfg: ExperimentConfig) -> RunRecord:
     case = _manufactured_case(cfg.case, cfg.alpha)
-    report = conv.run_space_convergence(cfg.scheme, case, cfg.dx_list, cfg.dt,
-                                        cfg.t_final)
-    return RunRecord(config=cfg.to_dict(), report=report.to_dict(),
-                     error_rows=report.points,
-                     summary={"order": report.order_inf,
-                              "order_l2": report.order_l2})
+    return _convergence_record(cfg, conv.run_space_convergence(
+        cfg.scheme, case, cfg.dx_list, cfg.dt, cfg.t_final))
 
 
 def _run_converge_2d(cfg: ExperimentConfig) -> RunRecord:
     domain = tuple(cfg.domain) if cfg.domain else (1.0, 0.2)
-    report = conv.run_wall_reference_convergence(
+    return _convergence_record(cfg, conv.run_wall_reference_convergence(
         cfg.scheme, alpha=cfg.alpha, dx=cfg.dx, domain=domain,
         t_final=cfg.t_final, dt_divisors=cfg.dt_divisors,
-        ref_divisor=cfg.ref_divisor)
-    return RunRecord(config=cfg.to_dict(), report=report.to_dict(),
-                     error_rows=report.points,
-                     summary={"order": report.order_inf,
-                              "order_l2": report.order_l2})
+        ref_divisor=cfg.ref_divisor))
 
 
 def _run_stability(cfg: ExperimentConfig) -> RunRecord:
@@ -127,8 +123,10 @@ def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
     """Shared stepping loop for micromag/solve kinds: records the energy after
     every step (its stray part from the field the step carries, so a step
     costs one convolution), stepper wall time (exclusive of the recording
-    itself), and mid-plane snapshots at the requested cadence."""
-    energy_series = [(0, 0.0, energy(params, grid, m0, kernel))]
+    itself), and mid-plane snapshots at the requested cadence. Takes
+    n_steps >= 1: the initial energy is recorded at the first step, from the
+    h_s(m0) that `integrate` seeded, so m0 is convolved once."""
+    energy_series = []
     timing_series = []
     snapshots = []
     mid_k = grid.nz // 2
@@ -139,6 +137,9 @@ def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
     def on_step(state):
         nonlocal last
         timing_series.append((state.step_index, (time.perf_counter() - last) * 1e3))
+        if state.step_index == 1:
+            energy_series.append((0, 0.0, energy(params, grid, state.m_prev, kernel,
+                                                 stray=state.hs_prev)))
         energy_series.append((state.step_index, state.t,
                               energy(params, grid, state.m_curr, kernel,
                                      stray=state.hs_curr)))
@@ -167,9 +168,10 @@ def _run_micromag(cfg: ExperimentConfig, full_scale: bool) -> RunRecord:
     grid = Grid(nx, ny, nz, lx, ly, lz)
     params = MaterialParams(eps=eps, alpha=cfg.alpha, q=q, stray_enabled=True)
     kernel = build_demag_kernel(grid)
-    dt_seconds = cfg.dt_seconds if cfg.dt_seconds is not None else 1.0e-12
+    dt_seconds = (cfg.dt_seconds if cfg.dt_seconds is not None
+                  else _MICROMAG_DT_SECONDS)
     t_final_seconds = (cfg.t_final_seconds if cfg.t_final_seconds is not None
-                       else 2.0e-9)
+                       else _MICROMAG_T_FINAL_SECONDS)
     dt = dt_seconds / time_unit
     n_steps = round(t_final_seconds / dt_seconds)
     snapshot_every = cfg.snapshot_every or 500

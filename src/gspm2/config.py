@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .convergence import _STEPPERS
+
 KINDS = ("converge-time", "converge-space", "converge-2d", "stability",
          "micromag", "solve")
-SCHEMES = ("gspm1", "si2", "scheme-a", "scheme-b", "bdf2-ref")
 CASES = ("mms-1d", "mms-3d")
 
 # SI constants of the thin-film experiment; L is the rescaling length
@@ -22,6 +23,9 @@ DEFAULT_CONSTANTS = {
     "gamma": 1.76e11,   # 1/(T s)
     "L": 1.0e-6,        # m
 }
+# micromag step and duration when the config gives none
+_MICROMAG_DT_SECONDS = 1.0e-12
+_MICROMAG_T_FINAL_SECONDS = 2.0e-9
 
 
 class ConfigError(ValueError):
@@ -98,6 +102,16 @@ class ExperimentConfig:
                                           and value > 0):
                 raise ConfigError(f"{name} must be positive, got {value!r}")
 
+    def _integer(self, *names, minimum=None):
+        for name in names:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or (minimum is not None and value < minimum)):
+                bound = "" if minimum is None else f" >= {minimum}"
+                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
     def _positive_list(self, *names):
         for name in names:
             values = getattr(self, name)
@@ -111,12 +125,16 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.scheme is not None and self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        if self.scheme is not None and self.scheme not in _STEPPERS:
+            raise ConfigError(f"unknown scheme {self.scheme!r}, "
+                              f"expected one of {tuple(_STEPPERS)}")
         if self.case is not None and self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}, expected one of {CASES}")
         self._positive("alpha", "dx", "dt", "t_final", "dt_seconds",
-                       "t_final_seconds", "ref_divisor", "rounds", "error_cap")
+                       "t_final_seconds", "error_cap")
+        self._integer("n_steps", "rounds", "ref_divisor", minimum=1)
+        self._integer("snapshot_every", minimum=0)
+        self._integer("seed")
         self._positive_list("dt_list", "dx_list", "dt_divisors", "h_list",
                             "domain", "cfl_bracket")
         if self.grid is not None:
@@ -139,6 +157,13 @@ class ExperimentConfig:
                                   f"got {self.cfl_bracket!r}")
         elif self.kind == "micromag":
             self._require("alpha")
+            dt_s = (self.dt_seconds if self.dt_seconds is not None
+                    else _MICROMAG_DT_SECONDS)
+            t_s = (self.t_final_seconds if self.t_final_seconds is not None
+                   else _MICROMAG_T_FINAL_SECONDS)
+            if round(t_s / dt_s) < 1:
+                raise ConfigError(f"micromag needs at least one step, got "
+                                  f"t_final_seconds={t_s!r}, dt_seconds={dt_s!r}")
             if self.constants is not None:
                 missing = set(DEFAULT_CONSTANTS) - set(self.constants)
                 if missing:

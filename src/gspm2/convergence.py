@@ -21,8 +21,6 @@ from .schemes import (BlowUpError, SchemeState, bdf2_reference_step, gspm1_step,
                       with_stray_field)
 from .spectral import build_plan
 
-SCHEME_NAMES = ("gspm1", "si2", "scheme-a", "scheme-b", "bdf2-ref")
-
 _STEPPERS = {
     "gspm1": gspm1_step,
     "si2": si2_step,
@@ -54,7 +52,7 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     to the named scheme's stepper (not the bootstrap), e.g. a Krylov `tol`.
     """
     if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEME_NAMES}")
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_STEPPERS)}")
     if plan is None:
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]

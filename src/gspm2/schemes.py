@@ -7,16 +7,30 @@ operator L = I - eps*dt*Lap + (eps*dt)^2*Lap^2 (the dt^2-biharmonic term is
 what lifts the auxiliary-field approximation of Lap(m) to second order), and a
 final pointwise projection onto the unit sphere.
 
-Two Gauss-Seidel variants are provided. Both refresh an updated component's
-slot to 2 m_i* - 2 m_i^n + m_i^(n-1), a second-order approximation of m_i at
-t_(n+1), before it feeds the later rows. `scheme_a_step` re-solves the first
-two auxiliary components within the step (five solves per step,
-unconditionally stable in practice). `scheme_b_step` instead carries the
-refreshed auxiliary fields over to the next step (three solves per step,
-conditionally stable with a CFL constant near 0.25). `si2_step` is the plain
-non-Gauss-Seidel baseline, `gspm1_step` the first-order method used to
-bootstrap the two-level schemes, and `bdf2_reference_step` a fully coupled
-semi-implicit solve used as a reference integrator.
+The three Gauss-Seidel methods share one sweep, `_gauss_seidel_sweep`. Row
+i = 1, 2, 3 (with j, k the next two, cyclically) computes
+
+    m_i* = w [base_i - (h_j g_k - h_k g_j) - alpha (h.g) h_i + alpha |h|^2 g_i
+              + dt src_i],
+
+refreshes the slot h_i from m_i* and re-solves g_i = L^(-1)(h_i + dt f_i), so
+that the later rows see the update; after row 3 only when a solve follows it.
+The steppers differ only in what they pass:
+
+- `gspm1_step`, first order, five solves with the heat operator
+  L = I - eps*dt*Lap: base = h = m^n, w = 1, slot h_i = m_i*, g solved from
+  m^n. Only m_curr is consumed, so it also bootstraps the two-level methods.
+- `scheme_a_step`, five solves, unconditionally stable in practice:
+  base = 2 m^n - m^(n-1)/2, h = m_hat, w = 2/3, slot h_i = 2 m_i* - 2 m_i^n +
+  m_i^(n-1) (second order at t_(n+1), as m_hat is), g solved from m_hat.
+- `scheme_b_step`, three solves, CFL constant near 0.25: as scheme-a, but g
+  is lagged from the previous step and a solve q_3 follows row 3. By
+  linearity of L the next step's g, L^(-1)(2 m^(n+1) - m^n + dt f), is q + d
+  with d = L^(-1)(m^n - m^(n-1)) carried alongside, and the next d is
+  (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0.
+
+`si2_step` is the plain non-Gauss-Seidel baseline and `bdf2_reference_step` a
+fully coupled semi-implicit solve used as a reference integrator.
 
 The pointwise field f(m) (anisotropy, applied, stray) enters each step once,
 at the extrapolated state, and is never refreshed inside the Gauss-Seidel
@@ -168,52 +182,64 @@ def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
                        d_prev=d_prev, hs_prev=state.hs_curr, hs_curr=hs_next)
 
 
+def _solver(plan: spectral.SpectralPlan, a: float, b: float,
+            phi: np.ndarray | None, dt: float):
+    """solve(i, x) = L^(-1)(x + dt f_i) with L = I - a*Lap + b*Lap^2 and f the
+    step's frozen field phi (None: no local field)."""
+
+    def solve(i, x):
+        return spectral.solve(plan, x if phi is None else x + dt * phi[i], a, b)
+
+    return solve
+
+
+def _second_order_solver(state: SchemeState, params: MaterialParams,
+                         plan: spectral.SpectralPlan, dt: float):
+    """m_hat and the solve of the second-order steps, with f(m_hat)."""
+    m_hat = extrapolate(state.m_prev, state.m_curr)
+    a = params.eps * dt
+    return m_hat, _solver(plan, a, a * a, _field_at_hat(state, params, m_hat), dt)
+
+
+def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
+                        src: np.ndarray | None, dt: float, *, bdf2: bool,
+                        solve_last: bool = False):
+    """The cyclic row update of the module docstring; returns m* and the final
+    auxiliary fields. bdf2 selects base 2 m^n - m^(n-1)/2, the 2/3 weight and
+    the second-order slot refresh; otherwise base is m^n and the slot m_i*."""
+    mp, mc = state.m_prev, state.m_curr
+    base = 2.0 * mc - 0.5 * mp if bdf2 else mc
+    h, g, rows = list(h), list(g), []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        m_i = (base[i] - (h[j] * g[k] - h[k] * g[j])
+               - alpha * (h[0] * g[0] + h[1] * g[1] + h[2] * g[2]) * h[i]
+               + alpha * (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) * g[i])
+        if src is not None:
+            m_i += dt * src[i]
+        if bdf2:
+            m_i *= 2.0 / 3.0
+        rows.append(m_i)
+        if i < 2 or solve_last:
+            h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if bdf2 else m_i
+            g[i] = solve(i, h[i])
+    return np.stack(rows), g
+
+
 def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
                dt: float, *, kernel: DemagKernel | None = None,
                source=None) -> SchemeState:
-    """One first-order Gauss-Seidel projection step (five heat-equation solves).
-
-    Auxiliary fields g_i = (I - eps*dt*Lap)^(-1)(m_i + dt f_i(m)) stand in for
-    m_i + dt (eps Lap m_i + f_i); the first two are re-solved from the updated
-    components before they feed the later rows. Only m_curr of the state is
-    consumed, so this also bootstraps the two-level methods.
-    """
+    """One first-order Gauss-Seidel projection step (five heat-equation solves)."""
     state = with_stray_field(state, params, kernel)
-    a = params.eps * dt
-    m1, m2, m3 = state.m_curr
-    phi = _field_of(params, state.m_curr, state.hs_curr)
-
-    def rhs(i, comp):
-        return comp if phi is None else comp + dt * phi[i]
-
-    g1 = spectral.solve(plan, rhs(0, m1), a)
-    g2 = spectral.solve(plan, rhs(1, m2), a)
-    g3 = spectral.solve(plan, rhs(2, m3), a)
     src = _source_of(source, plan.grid, state.t + dt)
-    al = params.alpha
-
-    m1s = (m1 - (m2 * g3 - m3 * g2)
-           - al * (m1 * g1 + m2 * g2 + m3 * g3) * m1
-           + al * (m1 * m1 + m2 * m2 + m3 * m3) * g1)
-    if src is not None:
-        m1s += dt * src[0]
-    g1 = spectral.solve(plan, rhs(0, m1s), a)
-
-    m2s = (m2 - (m3 * g1 - m1s * g3)
-           - al * (m1s * g1 + m2 * g2 + m3 * g3) * m2
-           + al * (m1s * m1s + m2 * m2 + m3 * m3) * g2)
-    if src is not None:
-        m2s += dt * src[1]
-    g2 = spectral.solve(plan, rhs(1, m2s), a)
-
-    m3s = (m3 - (m1s * g2 - m2s * g1)
-           - al * (m1s * g1 + m2s * g2 + m3 * g3) * m3
-           + al * (m1s * m1s + m2s * m2s + m3 * m3) * g3)
-    if src is not None:
-        m3s += dt * src[2]
-
-    return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"first-order step {state.step_index}", params, kernel)
+    m = state.m_curr
+    solve = _solver(plan, params.eps * dt, 0.0,
+                    _field_of(params, m, state.hs_curr), dt)
+    g = [solve(i, m[i]) for i in range(3)]
+    m_star, _ = _gauss_seidel_sweep(state, m, g, solve, params.alpha, src, dt,
+                                    bdf2=False)
+    return _finish(state, m_star, dt, f"first-order step {state.step_index}",
+                   params, kernel)
 
 
 def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
@@ -226,14 +252,8 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
     (m_hat . G) m_hat - |m_hat|^2 G since |m_hat| differs from 1.
     """
     state = with_stray_field(state, params, kernel)
-    m_hat = extrapolate(state.m_prev, state.m_curr)
-    a = params.eps * dt
-    b = a * a
-    phi = _field_at_hat(state, params, m_hat)
-    m_star = np.stack([
-        spectral.solve(plan, m_hat[i] if phi is None else m_hat[i] + dt * phi[i], a, b)
-        for i in range(3)
-    ])
+    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    m_star = np.stack([solve(i, m_hat[i]) for i in range(3)])
     src = _source_of(source, plan.grid, state.t + dt)
 
     G = m_star - m_hat
@@ -253,63 +273,15 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
 def scheme_a_step(state: SchemeState, params: MaterialParams,
                   plan: spectral.SpectralPlan, dt: float, *,
                   kernel: DemagKernel | None = None, source=None) -> SchemeState:
-    """One step of the five-solve Gauss-Seidel method (unconditional stability).
-
-    Sequence: solve g_i* = L^(-1)(m_hat_i + dt f_i(m_hat)) for i = 1, 2, 3;
-    update the first component; refresh its slot to m_hat_1* = 2 m_1* -
-    2 m_1^n + m_1^(n-1), which approximates m_1(t_(n+1)) to second order as
-    m_hat_1 does, and re-solve its auxiliary field; same for the second
-    component; update the third. Second order in time. The |m_hat|^2 and
-    dot-product factors always use the freshest available components.
-    f(m_hat), including the stray field, enters every solve of the step.
-    """
+    """One step of the five-solve Gauss-Seidel method (unconditional stability)."""
     state = with_stray_field(state, params, kernel)
-    m_hat = extrapolate(state.m_prev, state.m_curr)
-    mh1, mh2, mh3 = m_hat
-    a = params.eps * dt
-    b = a * a
-    phi = _field_at_hat(state, params, m_hat)
-
-    def rhs(i, comp):
-        return comp if phi is None else comp + dt * phi[i]
-
-    g1 = spectral.solve(plan, rhs(0, mh1), a, b)
-    g2 = spectral.solve(plan, rhs(1, mh2), a, b)
-    g3 = spectral.solve(plan, rhs(2, mh3), a, b)
     src = _source_of(source, plan.grid, state.t + dt)
-    al = params.alpha
-    mp, mc = state.m_prev, state.m_curr
-
-    m1s = (2.0 * mc[0] - 0.5 * mp[0]
-           - (mh2 * g3 - mh3 * g2)
-           - al * (mh1 * g1 + mh2 * g2 + mh3 * g3) * mh1
-           + al * (mh1 * mh1 + mh2 * mh2 + mh3 * mh3) * g1)
-    if src is not None:
-        m1s += dt * src[0]
-    m1s *= 2.0 / 3.0
-    mh1s = 2.0 * m1s - 2.0 * mc[0] + mp[0]
-    g1n = spectral.solve(plan, rhs(0, mh1s), a, b)
-
-    m2s = (2.0 * mc[1] - 0.5 * mp[1]
-           - (mh3 * g1n - mh1s * g3)
-           - al * (mh1s * g1n + mh2 * g2 + mh3 * g3) * mh2
-           + al * (mh1s * mh1s + mh2 * mh2 + mh3 * mh3) * g2)
-    if src is not None:
-        m2s += dt * src[1]
-    m2s *= 2.0 / 3.0
-    mh2s = 2.0 * m2s - 2.0 * mc[1] + mp[1]
-    g2n = spectral.solve(plan, rhs(1, mh2s), a, b)
-
-    m3s = (2.0 * mc[2] - 0.5 * mp[2]
-           - (mh1s * g2n - mh2s * g1n)
-           - al * (mh1s * g1n + mh2s * g2n + mh3 * g3) * mh3
-           + al * (mh1s * mh1s + mh2s * mh2s + mh3 * mh3) * g3)
-    if src is not None:
-        m3s += dt * src[2]
-    m3s *= 2.0 / 3.0
-
-    return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"five-solve step {state.step_index}", params, kernel)
+    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    g = [solve(i, m_hat[i]) for i in range(3)]
+    m_star, _ = _gauss_seidel_sweep(state, m_hat, g, solve, params.alpha, src, dt,
+                                    bdf2=True)
+    return _finish(state, m_star, dt, f"five-solve step {state.step_index}",
+                   params, kernel)
 
 
 def scheme_b_init(state: SchemeState, params: MaterialParams,
@@ -323,13 +295,10 @@ def scheme_b_init(state: SchemeState, params: MaterialParams,
     first-order bootstrap step). Six solves, once per run.
     """
     state = with_stray_field(state, params, kernel)
+    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    g0 = np.stack([solve(i, m_hat[i]) for i in range(3)])
     a = params.eps * dt
-    b = a * a
-    m_hat = extrapolate(state.m_prev, state.m_curr)
-    phi = _field_at_hat(state, params, m_hat)
-    rhs = m_hat if phi is None else m_hat + dt * phi
-    g0 = np.stack([spectral.solve(plan, rhs[i], a, b) for i in range(3)])
-    d0 = np.stack([spectral.solve(plan, state.m_curr[i] - state.m_prev[i], a, b)
+    d0 = np.stack([spectral.solve(plan, state.m_curr[i] - state.m_prev[i], a, a * a)
                    for i in range(3)])
     return replace(state, g_prev=g0, d_prev=d0)
 
@@ -339,66 +308,18 @@ def scheme_b_step(state: SchemeState, params: MaterialParams,
                   kernel: DemagKernel | None = None, source=None) -> SchemeState:
     """One step of the three-solve Gauss-Seidel method (CFL-limited).
 
-    Row 1 consumes the auxiliary fields g lagged from the previous step. After
-    each row its slot is refreshed to m_hat_i* = 2 m_i* - 2 m_i^n + m_i^(n-1)
-    (second order at t_(n+1)) and q_i = L^(-1)(m_hat_i* + dt f_i(m_hat)) is
-    solved; q_i feeds the remaining rows. By linearity of L, the field the
-    next step needs, L^(-1)(2 m^(n+1) - m^n + dt f), is q + d with
-    d = L^(-1)(m^n - m^(n-1)) carried alongside, and the next d is
-    (q + 2 d - g) / 2. Exactly three solves per step; second order in time.
     The carried g holds f from one step back (see notes/criterion1.md).
     """
     if state.g_prev is None or state.d_prev is None:
         raise ValueError("three-solve scheme requires scheme_b_init() first")
     state = with_stray_field(state, params, kernel)
-    g1p, g2p, g3p = state.g_prev
-    m_hat = extrapolate(state.m_prev, state.m_curr)
-    mh1, mh2, mh3 = m_hat
-    a = params.eps * dt
-    b = a * a
-    phi = _field_at_hat(state, params, m_hat)
-
-    def rhs(i, comp):
-        return comp if phi is None else comp + dt * phi[i]
-
     src = _source_of(source, plan.grid, state.t + dt)
-    al = params.alpha
-    mp, mc = state.m_prev, state.m_curr
-
-    m1s = (2.0 * mc[0] - 0.5 * mp[0]
-           - (mh2 * g3p - mh3 * g2p)
-           - al * (mh1 * g1p + mh2 * g2p + mh3 * g3p) * mh1
-           + al * (mh1 * mh1 + mh2 * mh2 + mh3 * mh3) * g1p)
-    if src is not None:
-        m1s += dt * src[0]
-    m1s *= 2.0 / 3.0
-    mh1s = 2.0 * m1s - 2.0 * mc[0] + mp[0]
-    q1 = spectral.solve(plan, rhs(0, mh1s), a, b)
-
-    m2s = (2.0 * mc[1] - 0.5 * mp[1]
-           - (mh3 * q1 - mh1s * g3p)
-           - al * (mh1s * q1 + mh2 * g2p + mh3 * g3p) * mh2
-           + al * (mh1s * mh1s + mh2 * mh2 + mh3 * mh3) * g2p)
-    if src is not None:
-        m2s += dt * src[1]
-    m2s *= 2.0 / 3.0
-    mh2s = 2.0 * m2s - 2.0 * mc[1] + mp[1]
-    q2 = spectral.solve(plan, rhs(1, mh2s), a, b)
-
-    m3s = (2.0 * mc[2] - 0.5 * mp[2]
-           - (mh1s * q2 - mh2s * q1)
-           - al * (mh1s * q1 + mh2s * q2 + mh3 * g3p) * mh3
-           + al * (mh1s * mh1s + mh2s * mh2s + mh3 * mh3) * g3p)
-    if src is not None:
-        m3s += dt * src[2]
-    m3s *= 2.0 / 3.0
-    mh3s = 2.0 * m3s - 2.0 * mc[2] + mp[2]
-    q3 = spectral.solve(plan, rhs(2, mh3s), a, b)
-
-    q = np.stack([q1, q2, q3])
-    return _finish(state, np.stack([m1s, m2s, m3s]), dt,
-                   f"three-solve step {state.step_index}", params, kernel,
-                   g_prev=q + state.d_prev,
+    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    m_star, q = _gauss_seidel_sweep(state, m_hat, state.g_prev, solve, params.alpha,
+                                    src, dt, bdf2=True, solve_last=True)
+    q = np.stack(q)
+    return _finish(state, m_star, dt, f"three-solve step {state.step_index}",
+                   params, kernel, g_prev=q + state.d_prev,
                    d_prev=0.5 * (q + 2.0 * state.d_prev - state.g_prev))
 
 

@@ -89,9 +89,9 @@ class TestRunMicromag:
 
     def test_one_convolution_per_step(self, demag_calls):
         rec = run(ExperimentConfig.from_dict(MICROMAG_SMALL))
-        # the initial energy and the integrator's h_s(m0), then one per step;
-        # the energy after each step reuses the step's stray field
-        assert len(demag_calls) == rec.summary["n_steps"] + 2
+        # the integrator's h_s(m0), which the initial energy reuses, then one
+        # per step; the energy after each step reuses the step's stray field
+        assert len(demag_calls) == rec.summary["n_steps"] + 1
 
 
 class TestMainExitCodes:
@@ -106,6 +106,11 @@ class TestMainExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, {"kind": "solve", "scheme": "si2"})
         assert main(["solve", "--config", cfg_path]) == 2
+
+    def test_malformed_integer_is_2(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, dict(SOLVE_UNIFORM, n_steps=2.5))
+        assert main(["solve", "--config", cfg_path]) == 2
+        assert "n_steps must be an integer" in capsys.readouterr().err
 
     def test_kind_mismatch_is_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SOLVE_UNIFORM)

@@ -117,6 +117,29 @@ class TestConfigValidation:
                                         "n_steps": 2,
                                         "params": {"eps": 1.0, "alpha": 0.1}})
 
+    BY_KIND = {s["kind"]: s for s in TestConfigRoundTrip.SAMPLES}
+    # changes to a valid sample; None drops the field
+    BAD_INTEGERS = [
+        ("solve", {"n_steps": 2.5}), ("solve", {"n_steps": -3}),
+        ("solve", {"n_steps": 0}), ("solve", {"n_steps": True}),
+        ("stability", {"rounds": 2.5}), ("stability", {"rounds": 0}),
+        ("converge-2d", {"ref_divisor": 2.5}),
+        ("solve", {"snapshot_every": -1}), ("solve", {"snapshot_every": 1.5}),
+        ("solve", {"seed": "x"}), ("solve", {"seed": 1.5}),
+        ("micromag", {"t_final_seconds": 1e-13}),
+        ("micromag", {"dt_seconds": 1e-8, "t_final_seconds": None}),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,change", BAD_INTEGERS,
+        ids=[f"{k}-{'-'.join(f'{n}={v}' for n, v in c.items())}"
+             for k, c in BAD_INTEGERS])
+    def test_malformed_integers(self, kind, change):
+        data = {k: v for k, v in dict(self.BY_KIND[kind], **change).items()
+                if v is not None}
+        with pytest.raises(ConfigError, match="integer|at least one step"):
+            ExperimentConfig.from_dict(data)
+
     def test_solve_params_required_keys(self):
         with pytest.raises(ConfigError, match="eps"):
             ExperimentConfig.from_dict({"kind": "solve", "scheme": "si2",
