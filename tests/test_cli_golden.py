@@ -1,0 +1,111 @@
+"""Golden outputs of the command-line runs, compared byte for byte.
+
+One small config per run kind and scheme goes through `cli.run` and
+`cli.emit`; the sha256 of every deterministic file it writes (config.json,
+report.json, energy.csv, errors.csv and the VTK files) must equal the stored
+one. timing.csv holds wall times and is never pinned.
+
+The fixture `data/golden_cli.json` is tied to the numpy/scipy builds and the
+CPU it was made on. To regenerate it, check out the commit whose outputs are
+the reference and run, from the repo root,
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+
+from gspm2.cli import emit, run
+from gspm2.config import ExperimentConfig
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+FORMATS = ("csv", "json", "vtk")
+UNPINNED = ("timing.csv",)
+
+_FILM = {"params": {"eps": 0.05, "alpha": 0.1, "q": 0.3,
+                    "h_ext": [0.0, 0.1, 0.0], "stray": True}}
+
+CONFIGS = {
+    "converge-time-1d": {
+        "kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+        "alpha": 0.01, "dx": 0.05, "t_final": 0.02,
+        "dt_list": [0.002, 0.001, 0.0005]},
+    "converge-time-3d": {
+        "kind": "converge-time", "scheme": "scheme-b", "case": "mms-3d",
+        "alpha": 0.1, "dx": 0.25, "t_final": 0.004,
+        "dt_list": [0.001, 0.0005]},
+    "converge-space": {
+        "kind": "converge-space", "scheme": "si2", "case": "mms-1d",
+        "alpha": 0.1, "dt": 1e-4, "t_final": 0.002,
+        "dx_list": [0.25, 0.125, 0.0625]},
+    "converge-2d": {
+        "kind": "converge-2d", "scheme": "gspm1", "alpha": 0.01, "dx": 0.1,
+        "t_final": 4e-5, "dt_divisors": [4, 8], "ref_divisor": 64},
+    "stability": {
+        "kind": "stability", "scheme": "scheme-b", "alpha": 1.0,
+        "h_list": [0.1], "rounds": 3, "t_final": 0.5},
+    "micromag-scheme-a": {
+        "kind": "micromag", "alpha": 0.1, "grid": [8, 8, 2],
+        "dt_seconds": 1e-12, "t_final_seconds": 4e-12, "snapshot_every": 2},
+    "micromag-scheme-b-random": {
+        "kind": "micromag", "scheme": "scheme-b", "alpha": 0.01,
+        "grid": [8, 6, 2], "dt_seconds": 1e-12, "t_final_seconds": 3e-12,
+        "initial": {"type": "random"}, "seed": 5},
+    "solve-bdf2-ref-stray": dict(
+        _FILM, kind="solve", scheme="bdf2-ref", grid=[6, 5, 2],
+        domain=[1.0, 0.8, 0.1], initial={"type": "random"}, seed=3,
+        dt=1e-3, n_steps=4, snapshot_every=2),
+    "solve-gspm1-neel-wall": {
+        "kind": "solve", "scheme": "gspm1", "grid": [10, 2, 1],
+        "domain": [1.0, 0.2, 0.1], "params": {"eps": 1.0, "alpha": 0.01},
+        "initial": {"type": "neel-wall"}, "dt": 1e-4, "n_steps": 5,
+        "snapshot_every": 5},
+    "solve-scheme-a-uniform": {
+        "kind": "solve", "scheme": "scheme-a", "grid": [4, 3, 1],
+        "params": {"eps": 1.0, "alpha": 0.1, "q": 1.0,
+                   "h_ext": [0.5, 0.0, 0.0]},
+        "initial": {"type": "uniform", "direction": [0.0, 0.6, 0.8]},
+        "dt": 1e-3, "n_steps": 5},
+}
+
+
+def _digests(name):
+    """{file name: sha256} of one config's emitted deterministic files."""
+    cfg = ExperimentConfig.from_dict(CONFIGS[name])
+    with tempfile.TemporaryDirectory() as out:
+        paths = emit(run(cfg), out, FORMATS)
+        digests = {}
+        for path in paths:
+            base = os.path.basename(path)
+            if base not in UNPINNED:
+                with open(path, "rb") as fh:
+                    digests[base] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_byte_identical_to_fixture(golden, name):
+    assert _digests(name) == golden[name]
+
+
+def regenerate(path=FIXTURE):
+    table = {name: _digests(name) for name in sorted(CONFIGS)}
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+if __name__ == "__main__":
+    print(regenerate())
