@@ -19,8 +19,7 @@ import numpy as np
 
 from . import convergence as conv
 from . import io as gio
-from .config import (_MICROMAG_DT_SECONDS, _MICROMAG_T_FINAL_SECONDS,
-                     DEFAULT_CONSTANTS, KINDS, ConfigError, ExperimentConfig)
+from .config import DEFAULT_CONSTANTS, KINDS, ConfigError, ExperimentConfig
 from .manufactured import case_1d, case_3d, neel_wall_initial
 from .mesh import Grid, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
@@ -46,44 +45,33 @@ class RunRecord:
     grid: Grid | None = None
 
 
-def _manufactured_case(name: str, alpha: float):
-    return case_1d(alpha) if name == "mms-1d" else case_3d(alpha)
-
-
-def _convergence_record(cfg: ExperimentConfig, report) -> RunRecord:
+def _run_convergence(cfg: ExperimentConfig) -> RunRecord:
+    """The converge-time, converge-space and converge-2d error studies."""
+    if cfg.kind == "converge-2d":
+        report = conv.run_wall_reference_convergence(
+            cfg.scheme, alpha=cfg.alpha, dx=cfg.dx, domain=cfg.domain or (1.0, 0.2),
+            t_final=cfg.t_final, dt_divisors=cfg.dt_divisors,
+            ref_divisor=cfg.ref_divisor)
+    else:
+        case = (case_1d if cfg.case == "mms-1d" else case_3d)(cfg.alpha)
+        if cfg.kind == "converge-time":
+            report = conv.run_time_convergence(cfg.scheme, case, cfg.dx,
+                                               cfg.dt_list, cfg.t_final)
+        else:
+            report = conv.run_space_convergence(cfg.scheme, case, cfg.dx_list,
+                                                cfg.dt, cfg.t_final)
     return RunRecord(config=cfg.to_dict(), report=report.to_dict(),
                      error_rows=report.points,
                      summary={"order": report.order_inf,
                               "order_l2": report.order_l2})
 
 
-def _run_converge_time(cfg: ExperimentConfig) -> RunRecord:
-    case = _manufactured_case(cfg.case, cfg.alpha)
-    return _convergence_record(cfg, conv.run_time_convergence(
-        cfg.scheme, case, cfg.dx, cfg.dt_list, cfg.t_final))
-
-
-def _run_converge_space(cfg: ExperimentConfig) -> RunRecord:
-    case = _manufactured_case(cfg.case, cfg.alpha)
-    return _convergence_record(cfg, conv.run_space_convergence(
-        cfg.scheme, case, cfg.dx_list, cfg.dt, cfg.t_final))
-
-
-def _run_converge_2d(cfg: ExperimentConfig) -> RunRecord:
-    domain = tuple(cfg.domain) if cfg.domain else (1.0, 0.2)
-    return _convergence_record(cfg, conv.run_wall_reference_convergence(
-        cfg.scheme, alpha=cfg.alpha, dx=cfg.dx, domain=domain,
-        t_final=cfg.t_final, dt_divisors=cfg.dt_divisors,
-        ref_divisor=cfg.ref_divisor))
-
-
 def _run_stability(cfg: ExperimentConfig) -> RunRecord:
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0
+    case = case_1d(cfg.alpha if cfg.alpha is not None else 1.0)
     t_final = cfg.t_final if cfg.t_final is not None else 1.0
-    case = case_1d(alpha)
     report = conv.stability_scan(cfg.scheme, case, cfg.h_list, t_final=t_final,
                                  cfl_bracket=tuple(cfg.cfl_bracket),
-                                 rounds=cfg.rounds, error_cap=cfg.error_cap)
+                                 rounds=cfg.rounds)
     summary = {"rows": [{"h": r.h, "dt_stable": r.dt_stable}
                         for r in report.rows]}
     return RunRecord(config=cfg.to_dict(), report=report.to_dict(),
@@ -118,14 +106,20 @@ def _initial_field(grid: Grid, init: dict | None, seed: int) -> np.ndarray:
     raise ConfigError(f"unknown initial state type {kind!r}")
 
 
-def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
-                     snapshot_every):
-    """Shared stepping loop for micromag/solve kinds: records the energy after
-    every step (its stray part from the field the step carries, so a step
-    costs one convolution), stepper wall time (exclusive of the recording
-    itself), and mid-plane snapshots at the requested cadence. Takes
-    n_steps >= 1: the initial energy is recorded at the first step, from the
-    h_s(m0) that `integrate` seeded, so m0 is convolved once."""
+def _run_stepping(cfg: ExperimentConfig, scheme: str, grid: Grid,
+                  params: MaterialParams, m0: np.ndarray, dt: float, n_steps: int,
+                  snapshot_every: int, summary: dict) -> RunRecord:
+    """Shared stepping run of the micromag and solve kinds.
+
+    Builds the demag kernel if the stray field is on, then records the
+    energy after every step (its stray part from the field the step carries,
+    so a step costs one convolution), stepper wall time (exclusive of the
+    recording itself), and mid-plane snapshots at the requested cadence.
+    Takes n_steps >= 1: the initial energy is recorded at the first step,
+    from the h_s(m0) that `integrate` seeded, so m0 is convolved once.
+    `summary` gains the energies, the unit deviation and n_steps.
+    """
+    kernel = build_demag_kernel(grid) if params.stray_enabled else None
     energy_series = []
     timing_series = []
     snapshots = []
@@ -150,49 +144,31 @@ def _timed_integrate(scheme, m0, grid, params, dt, n_steps, *, kernel,
 
     result = conv.integrate(scheme, m0, grid, params, dt, n_steps,
                             kernel=kernel, on_step=on_step)
-    return result, energy_series, timing_series, snapshots
-
-
-def _run_micromag(cfg: ExperimentConfig, full_scale: bool) -> RunRecord:
-    constants = cfg.constants or DEFAULT_CONSTANTS
-    pc = PhysicalConstants(A=constants["A"], Ms=constants["Ms"],
-                           Ku=constants["Ku"], gamma=constants["gamma"],
-                           L=constants["L"])
-    eps, q, time_unit = nondimensionalize(pc)
-    if full_scale:
-        nx, ny, nz = cfg.full_scale_grid or FULL_SCALE_GRID
-    else:
-        nx, ny, nz = cfg.grid or (64, 64, 3)
-    # film extent over the rescaling length L
-    lx, ly, lz = 1.0, 1.0, 0.02
-    grid = Grid(nx, ny, nz, lx, ly, lz)
-    params = MaterialParams(eps=eps, alpha=cfg.alpha, q=q, stray_enabled=True)
-    kernel = build_demag_kernel(grid)
-    dt_seconds = (cfg.dt_seconds if cfg.dt_seconds is not None
-                  else _MICROMAG_DT_SECONDS)
-    t_final_seconds = (cfg.t_final_seconds if cfg.t_final_seconds is not None
-                       else _MICROMAG_T_FINAL_SECONDS)
-    dt = dt_seconds / time_unit
-    n_steps = round(t_final_seconds / dt_seconds)
-    snapshot_every = cfg.snapshot_every or 500
-
-    m0 = _initial_field(grid, cfg.initial or {"type": "stripes"}, cfg.seed)
-    result, energy_series, timing_series, snapshots = _timed_integrate(
-        cfg.scheme or "scheme-a", m0, grid, params, dt, n_steps, kernel=kernel,
-        snapshot_every=snapshot_every)
-
-    summary = {
-        "eps": eps, "q": q, "time_unit_seconds": time_unit,
-        "dt_dimensionless": dt, "t_final_dimensionless": n_steps * dt,
-        "n_steps": n_steps,
-        "initial_energy": energy_series[0][2],
-        "terminal_energy": energy_series[-1][2],
-        "max_unit_deviation": result.max_unit_deviation,
-    }
+    summary.update(initial_energy=energy_series[0][2],
+                   terminal_energy=energy_series[-1][2],
+                   max_unit_deviation=result.max_unit_deviation, n_steps=n_steps)
     return RunRecord(config=cfg.to_dict(), summary=summary,
                      energy_series=energy_series, timing_series=timing_series,
                      final_field=result.state.m_curr, snapshots=snapshots,
                      grid=grid)
+
+
+def _run_micromag(cfg: ExperimentConfig, full_scale: bool) -> RunRecord:
+    constants = cfg.constants or DEFAULT_CONSTANTS
+    eps, q, time_unit = nondimensionalize(
+        PhysicalConstants(**{k: constants[k] for k in DEFAULT_CONSTANTS}))
+    nx, ny, nz = FULL_SCALE_GRID if full_scale else cfg.grid or (64, 64, 3)
+    # film extent 1 x 1 x 0.02 over the rescaling length L
+    grid = Grid(nx, ny, nz, 1.0, 1.0, 0.02)
+    params = MaterialParams(eps=eps, alpha=cfg.alpha, q=q, stray_enabled=True)
+    dt_seconds, t_final_seconds = cfg._micromag_seconds()
+    dt = dt_seconds / time_unit
+    n_steps = round(t_final_seconds / dt_seconds)
+    m0 = _initial_field(grid, cfg.initial or {"type": "stripes"}, cfg.seed)
+    summary = {"eps": eps, "q": q, "time_unit_seconds": time_unit,
+               "dt_dimensionless": dt, "t_final_dimensionless": n_steps * dt}
+    return _run_stepping(cfg, cfg.scheme or "scheme-a", grid, params, m0, dt,
+                         n_steps, cfg.snapshot_every or 500, summary)
 
 
 def _run_solve(cfg: ExperimentConfig) -> RunRecord:
@@ -204,31 +180,15 @@ def _run_solve(cfg: ExperimentConfig) -> RunRecord:
     params = MaterialParams(eps=p["eps"], alpha=p["alpha"], q=p.get("q", 0.0),
                             h_ext=tuple(p.get("h_ext", (0.0, 0.0, 0.0))),
                             stray_enabled=bool(p.get("stray", False)))
-    kernel = build_demag_kernel(grid) if params.stray_enabled else None
     m0 = _initial_field(grid, cfg.initial, cfg.seed)
-    result, energy_series, timing_series, snapshots = _timed_integrate(
-        cfg.scheme, m0, grid, params, cfg.dt, cfg.n_steps, kernel=kernel,
-        snapshot_every=cfg.snapshot_every)
-    summary = {
-        "initial_energy": energy_series[0][2],
-        "terminal_energy": energy_series[-1][2],
-        "max_unit_deviation": result.max_unit_deviation,
-        "n_steps": result.n_steps,
-    }
-    return RunRecord(config=cfg.to_dict(), summary=summary,
-                     energy_series=energy_series, timing_series=timing_series,
-                     final_field=result.state.m_curr, snapshots=snapshots,
-                     grid=grid)
+    return _run_stepping(cfg, cfg.scheme, grid, params, m0, cfg.dt, cfg.n_steps,
+                         cfg.snapshot_every, {})
 
 
 def run(cfg: ExperimentConfig, full_scale: bool = False) -> RunRecord:
     """Dispatch one validated config; returns the in-memory record."""
-    if cfg.kind == "converge-time":
-        return _run_converge_time(cfg)
-    if cfg.kind == "converge-space":
-        return _run_converge_space(cfg)
-    if cfg.kind == "converge-2d":
-        return _run_converge_2d(cfg)
+    if cfg.kind in ("converge-time", "converge-space", "converge-2d"):
+        return _run_convergence(cfg)
     if cfg.kind == "stability":
         return _run_stability(cfg)
     if cfg.kind == "micromag":
@@ -309,11 +269,6 @@ def main(argv=None) -> int:
         if cfg.kind != args.kind:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match command {args.kind!r}")
-    except ConfigError as exc:
-        print(f"gspm2: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         record = run(cfg, full_scale=args.full_scale)
     except ConfigError as exc:
         print(f"gspm2: config error: {exc}", file=sys.stderr)

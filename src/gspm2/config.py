@@ -7,6 +7,7 @@ equals `cfg`, and the emitted config.json re-parses to the same object.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .convergence import _STEPPERS
@@ -49,7 +50,6 @@ class ExperimentConfig:
     h_list: list | None = None
     cfl_bracket: list = field(default_factory=lambda: [0.125, 1.0])
     rounds: int = 6
-    error_cap: float | None = None
     grid: list | None = None
     params: dict | None = None
     initial: dict | None = None
@@ -59,7 +59,6 @@ class ExperimentConfig:
     constants: dict | None = None
     dt_seconds: float | None = None
     t_final_seconds: float | None = None
-    full_scale_grid: list | None = None
 
     def to_dict(self) -> dict:
         """Dictionary form with unset (None) fields dropped."""
@@ -88,6 +87,12 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(data)
 
+    def _micromag_seconds(self) -> tuple:
+        """(dt_seconds, t_final_seconds), micromag defaults for unset ones."""
+        return (_MICROMAG_DT_SECONDS if self.dt_seconds is None else self.dt_seconds,
+                _MICROMAG_T_FINAL_SECONDS if self.t_final_seconds is None
+                else self.t_final_seconds)
+
     # ---- validation ----------------------------------------------------
 
     def _require(self, *names):
@@ -95,12 +100,17 @@ class ExperimentConfig:
             if getattr(self, name) is None:
                 raise ConfigError(f"kind {self.kind!r} requires field {name!r}")
 
+    @staticmethod
+    def _is_positive(value) -> bool:
+        return (isinstance(value, (int, float)) and math.isfinite(value)
+                and value > 0)
+
     def _positive(self, *names):
         for name in names:
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float))
-                                          and value > 0):
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+            if value is not None and not self._is_positive(value):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value!r}")
 
     def _integer(self, *names, minimum=None):
         for name in names:
@@ -112,15 +122,15 @@ class ExperimentConfig:
                 bound = "" if minimum is None else f" >= {minimum}"
                 raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
-    def _positive_list(self, *names):
+    def _positive_list(self, *names, min_len=1):
         for name in names:
             values = getattr(self, name)
             if values is None:
                 continue
-            if not values or any(not (isinstance(v, (int, float)) and v > 0)
-                                 for v in values):
-                raise ConfigError(f"{name} must be a non-empty list of positive "
-                                  f"numbers, got {values!r}")
+            if (not isinstance(values, (list, tuple)) or len(values) < min_len
+                    or not all(self._is_positive(v) for v in values)):
+                raise ConfigError(f"{name} must be a list of at least {min_len} "
+                                  f"finite positive numbers, got {values!r}")
 
     def validate(self):
         if self.kind not in KINDS:
@@ -131,12 +141,13 @@ class ExperimentConfig:
         if self.case is not None and self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}, expected one of {CASES}")
         self._positive("alpha", "dx", "dt", "t_final", "dt_seconds",
-                       "t_final_seconds", "error_cap")
+                       "t_final_seconds")
         self._integer("n_steps", "rounds", "ref_divisor", minimum=1)
         self._integer("snapshot_every", minimum=0)
         self._integer("seed")
-        self._positive_list("dt_list", "dx_list", "dt_divisors", "h_list",
-                            "domain", "cfl_bracket")
+        # an order is fitted from at least two runs
+        self._positive_list("dt_list", "dx_list", "dt_divisors", min_len=2)
+        self._positive_list("h_list", "domain", "cfl_bracket")
         if self.grid is not None:
             if (len(self.grid) != 3
                     or any(not isinstance(n, int) or n < 1 for n in self.grid)):
@@ -157,12 +168,11 @@ class ExperimentConfig:
                                   f"got {self.cfl_bracket!r}")
         elif self.kind == "micromag":
             self._require("alpha")
-            dt_s = (self.dt_seconds if self.dt_seconds is not None
-                    else _MICROMAG_DT_SECONDS)
-            t_s = (self.t_final_seconds if self.t_final_seconds is not None
-                   else _MICROMAG_T_FINAL_SECONDS)
-            if round(t_s / dt_s) < 1:
-                raise ConfigError(f"micromag needs at least one step, got "
+            dt_s, t_s = self._micromag_seconds()
+            steps = t_s / dt_s
+            if not (math.isfinite(steps) and round(steps) >= 1):
+                raise ConfigError(f"micromag needs at least one step and a "
+                                  f"finite count, got "
                                   f"t_final_seconds={t_s!r}, dt_seconds={dt_s!r}")
             if self.constants is not None:
                 missing = set(DEFAULT_CONSTANTS) - set(self.constants)

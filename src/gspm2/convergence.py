@@ -4,6 +4,11 @@
 first-order step, advances to the terminal time, and tracks the worst
 post-projection unit-length deviation so the projection invariant can be
 asserted across whole studies.
+
+The studies share one set-up and one measurement: `_case_start` builds a
+manufactured case's grid, parameters and exact m0 at one mesh size (temporal
+and spatial studies, stability probes), and `ConvergenceReport.add` records
+a run's errors in both norms and its unit deviation (all three studies).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .mesh import Grid, norm_inf, norm_l2, sample_vector
 from .physics import MaterialParams
 from .schemes import (BlowUpError, SchemeState, bdf2_reference_step, gspm1_step,
                       scheme_a_step, scheme_b_init, scheme_b_step, si2_step,
-                      with_stray_field)
+                      unit_length_deviation, with_stray_field)
 from .spectral import build_plan
 
 _STEPPERS = {
@@ -56,7 +61,6 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     if plan is None:
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]
-    extra = dict(step_kwargs or {})
     state = with_stray_field(SchemeState.from_initial(np.asarray(m0, dtype=float)),
                              params, kernel)
     solves_before = plan.solve_count
@@ -68,9 +72,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
                 state = scheme_b_init(state, params, plan, dt, kernel=kernel)
         else:
             state = stepper(state, params, plan, dt, kernel=kernel, source=source,
-                            **extra)
-        mag = np.sqrt((state.m_curr * state.m_curr).sum(axis=0))
-        max_dev = max(max_dev, float(np.abs(mag - 1.0).max()))
+                            **(step_kwargs or {}))
+        max_dev = max(max_dev, unit_length_deviation(state.m_curr))
         if on_step is not None:
             on_step(state)
     return IntegrationResult(state=state, max_unit_deviation=max_dev,
@@ -102,6 +105,15 @@ class ConvergenceReport:
     order_l2: float = 0.0
     max_unit_deviation: float = 0.0
 
+    def add(self, step: float, grid: Grid, result: IntegrationResult,
+            m_ref: np.ndarray):
+        """Record one run: its errors against m_ref in both norms at this
+        step size, and its worst unit deviation."""
+        diff = result.state.m_curr - m_ref
+        self.points.append((step, norm_inf(diff), norm_l2(grid, diff)))
+        self.max_unit_deviation = max(self.max_unit_deviation,
+                                      result.max_unit_deviation)
+
     def fit(self):
         self.order_inf = observed_order([(s, ei) for s, ei, _ in self.points])
         self.order_l2 = observed_order([(s, el) for s, _, el in self.points])
@@ -122,38 +134,27 @@ class ConvergenceReport:
         }
 
 
-def _case_grid(case: ManufacturedCase, dx: float) -> Grid:
+def _case_start(case: ManufacturedCase, dx: float) -> tuple:
+    """(grid, params, m0): the unit line or cube at mesh size dx, the case's
+    material parameters and its exact field at t = 0."""
     n = round(1.0 / dx)
     if abs(n * dx - 1.0) > 1e-9:
         raise ValueError(f"dx={dx} does not divide the unit domain")
-    if case.dimension == 1:
-        return Grid.line(n)
-    return Grid.cube(n)
-
-
-def _errors(grid: Grid, m: np.ndarray, m_ref: np.ndarray) -> tuple:
-    diff = m - m_ref
-    return norm_inf(diff), norm_l2(grid, diff)
+    grid = Grid.line(n) if case.dimension == 1 else Grid.cube(n)
+    m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
+    return grid, MaterialParams(eps=1.0, alpha=case.alpha), m0
 
 
 def run_time_convergence(scheme: str, case: ManufacturedCase, dx: float,
                          dt_list, t_final: float) -> ConvergenceReport:
     """Errors against the exact solution at t_final for several step sizes."""
-    grid = _case_grid(case, dx)
+    grid, params, m0 = _case_start(case, dx)
     plan = build_plan(grid)
-    params = MaterialParams(eps=1.0, alpha=case.alpha)
-    m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
     report = ConvergenceReport(scheme=scheme, variable="dt", points=[])
-    X, Y, Z = grid.centers
     for dt in dt_list:
-        n = round(t_final / dt)
-        res = integrate(scheme, m0, grid, params, dt, n, plan=plan,
-                        source=case.source)
-        exact = case.exact(X, Y, Z, res.state.t)
-        err_inf, err_l2 = _errors(grid, res.state.m_curr, exact)
-        report.points.append((dt, err_inf, err_l2))
-        report.max_unit_deviation = max(report.max_unit_deviation,
-                                        res.max_unit_deviation)
+        res = integrate(scheme, m0, grid, params, dt, round(t_final / dt),
+                        plan=plan, source=case.source)
+        report.add(dt, grid, res, case.exact(*grid.centers, res.state.t))
     return report.fit()
 
 
@@ -161,20 +162,11 @@ def run_space_convergence(scheme: str, case: ManufacturedCase, dx_list,
                           dt: float, t_final: float) -> ConvergenceReport:
     """Errors against the exact solution at t_final for several mesh sizes."""
     report = ConvergenceReport(scheme=scheme, variable="h", points=[])
-    n_steps = round(t_final / dt)
-    params = MaterialParams(eps=1.0, alpha=case.alpha)
     for dx in dx_list:
-        grid = _case_grid(case, dx)
-        plan = build_plan(grid)
-        m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
-        res = integrate(scheme, m0, grid, params, dt, n_steps, plan=plan,
+        grid, params, m0 = _case_start(case, dx)
+        res = integrate(scheme, m0, grid, params, dt, round(t_final / dt),
                         source=case.source)
-        X, Y, Z = grid.centers
-        exact = case.exact(X, Y, Z, res.state.t)
-        err_inf, err_l2 = _errors(grid, res.state.m_curr, exact)
-        report.points.append((dx, err_inf, err_l2))
-        report.max_unit_deviation = max(report.max_unit_deviation,
-                                        res.max_unit_deviation)
+        report.add(dx, grid, res, case.exact(*grid.centers, res.state.t))
     return report.fit()
 
 
@@ -200,11 +192,8 @@ def run_wall_reference_convergence(scheme: str, *, alpha: float = 0.01,
     report = ConvergenceReport(scheme=scheme, variable="dt", points=[])
     for div in dt_divisors:
         dt = t_final / div
-        res = integrate(scheme, m0, grid, params, dt, div, plan=plan)
-        err_inf, err_l2 = _errors(grid, res.state.m_curr, reference)
-        report.points.append((dt, err_inf, err_l2))
-        report.max_unit_deviation = max(report.max_unit_deviation,
-                                        res.max_unit_deviation)
+        report.add(dt, grid, integrate(scheme, m0, grid, params, dt, div, plan=plan),
+                   reference)
     return report.fit()
 
 
@@ -252,34 +241,29 @@ class StabilityReport:
 
 
 def classify_stability(scheme: str, case: ManufacturedCase, h: float, dt: float,
-                       t_final: float = 1.0, error_cap: float | None = None) -> bool:
+                       t_final: float = 1.0) -> bool:
     """Run the sourced 1D benchmark to t_final; unstable iff the run blows up.
 
     Blow-up means the steppers' own detector fires: non-finite values,
     pre-projection magnitudes beyond 10, or a projection magnitude collapse.
-    An optional error_cap additionally classifies bounded-but-diverged runs
-    (terminal error above the cap) as unstable; by default accuracy is not
-    part of the stability question, matching how the stability table treats
-    the unconditionally stable scheme at very large steps.
+    "Stable" means only that: a bounded run, not an accurate one. The
+    projection keeps |m| = 1, so a scheme can stay bounded while losing the
+    solution. At alpha = 1 and h = 0.025 the five-solve scheme's max error
+    against the closed form is 4.2e-4 at dt = 0.1 h^2 but about 1.07 from
+    0.25 h^2 on, and it is classified stable at all of these steps.
     """
-    grid = _case_grid(case, h)
-    params = MaterialParams(eps=1.0, alpha=case.alpha)
-    m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
-    n = max(1, round(t_final / dt))
+    grid, params, m0 = _case_start(case, h)
     try:
-        res = integrate(scheme, m0, grid, params, dt, n, source=case.source)
+        res = integrate(scheme, m0, grid, params, dt, max(1, round(t_final / dt)),
+                        source=case.source)
     except BlowUpError:
         return False
-    X, Y, Z = grid.centers
-    err = norm_inf(res.state.m_curr - case.exact(X, Y, Z, res.state.t))
-    if not np.isfinite(err):
-        return False
-    return error_cap is None or err <= error_cap
+    return bool(np.isfinite(res.state.m_curr).all())
 
 
 def stability_scan(scheme: str, case: ManufacturedCase, h_list, *,
                    t_final: float = 1.0, cfl_bracket=(0.125, 1.0),
-                   rounds: int = 6, error_cap: float | None = None) -> StabilityReport:
+                   rounds: int = 6) -> StabilityReport:
     """Bisect the largest stable dt per mesh size.
 
     The bracket is given as multiples of h^2: dt in [lo*h^2, hi*h^2] must
@@ -297,7 +281,7 @@ def stability_scan(scheme: str, case: ManufacturedCase, h_list, *,
         probes = []
 
         def probe(dt):
-            ok = classify_stability(scheme, case, h, dt, t_final, error_cap)
+            ok = classify_stability(scheme, case, h, dt, t_final)
             probes.append((dt, ok))
             return ok
 

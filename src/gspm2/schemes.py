@@ -184,10 +184,11 @@ def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
 
 def _solver(plan: spectral.SpectralPlan, a: float, b: float,
             phi: np.ndarray | None, dt: float):
-    """solve(i, x) = L^(-1)(x + dt f_i) with L = I - a*Lap + b*Lap^2 and f the
-    step's frozen field phi (None: no local field)."""
+    """solve(x, i) = L^(-1)(x + dt f_i) with L = I - a*Lap + b*Lap^2 and f the
+    step's frozen field phi (None: no local field); x is component i, or by
+    default all three."""
 
-    def solve(i, x):
+    def solve(x, i=...):
         return spectral.solve(plan, x if phi is None else x + dt * phi[i], a, b)
 
     return solve
@@ -222,7 +223,7 @@ def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
         rows.append(m_i)
         if i < 2 or solve_last:
             h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if bdf2 else m_i
-            g[i] = solve(i, h[i])
+            g[i] = solve(h[i], i)
     return np.stack(rows), g
 
 
@@ -235,9 +236,8 @@ def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectr
     m = state.m_curr
     solve = _solver(plan, params.eps * dt, 0.0,
                     _field_of(params, m, state.hs_curr), dt)
-    g = [solve(i, m[i]) for i in range(3)]
-    m_star, _ = _gauss_seidel_sweep(state, m, g, solve, params.alpha, src, dt,
-                                    bdf2=False)
+    m_star, _ = _gauss_seidel_sweep(state, m, solve(m), solve, params.alpha, src,
+                                    dt, bdf2=False)
     return _finish(state, m_star, dt, f"first-order step {state.step_index}",
                    params, kernel)
 
@@ -253,7 +253,7 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
     """
     state = with_stray_field(state, params, kernel)
     m_hat, solve = _second_order_solver(state, params, plan, dt)
-    m_star = np.stack([solve(i, m_hat[i]) for i in range(3)])
+    m_star = solve(m_hat)
     src = _source_of(source, plan.grid, state.t + dt)
 
     G = m_star - m_hat
@@ -277,9 +277,8 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
     state = with_stray_field(state, params, kernel)
     src = _source_of(source, plan.grid, state.t + dt)
     m_hat, solve = _second_order_solver(state, params, plan, dt)
-    g = [solve(i, m_hat[i]) for i in range(3)]
-    m_star, _ = _gauss_seidel_sweep(state, m_hat, g, solve, params.alpha, src, dt,
-                                    bdf2=True)
+    m_star, _ = _gauss_seidel_sweep(state, m_hat, solve(m_hat), solve,
+                                    params.alpha, src, dt, bdf2=True)
     return _finish(state, m_star, dt, f"five-solve step {state.step_index}",
                    params, kernel)
 
@@ -296,11 +295,9 @@ def scheme_b_init(state: SchemeState, params: MaterialParams,
     """
     state = with_stray_field(state, params, kernel)
     m_hat, solve = _second_order_solver(state, params, plan, dt)
-    g0 = np.stack([solve(i, m_hat[i]) for i in range(3)])
     a = params.eps * dt
-    d0 = np.stack([spectral.solve(plan, state.m_curr[i] - state.m_prev[i], a, a * a)
-                   for i in range(3)])
-    return replace(state, g_prev=g0, d_prev=d0)
+    d0 = spectral.solve(plan, state.m_curr - state.m_prev, a, a * a)
+    return replace(state, g_prev=solve(m_hat), d_prev=d0)
 
 
 def scheme_b_step(state: SchemeState, params: MaterialParams,
@@ -326,7 +323,7 @@ def scheme_b_step(state: SchemeState, params: MaterialParams,
 def bdf2_reference_step(state: SchemeState, params: MaterialParams,
                         plan: spectral.SpectralPlan, dt: float, *,
                         kernel: DemagKernel | None = None, source=None,
-                        tol: float = 1e-12, maxiter: int = 500) -> SchemeState:
+                        tol: float = 1e-12) -> SchemeState:
     """Coupled semi-implicit BDF2 step, solved matrix-free with GMRES.
 
     Solves (3/2) m + dt [m_hat x (eps Lap m) + alpha m_hat x (m_hat x
@@ -360,11 +357,7 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
         return (1.5 * v + dt * torque(lap)).ravel()
 
     def precondition(r):
-        r = r.reshape(shape)
-        out = np.stack([
-            spectral.solve(plan, r[i], (2.0 / 3.0) * params.eps * dt)
-            for i in range(3)
-        ])
+        out = spectral.solve(plan, r.reshape(shape), (2.0 / 3.0) * params.eps * dt)
         return ((2.0 / 3.0) * out).ravel()
 
     A = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=matvec)
@@ -372,7 +365,7 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     b_flat = rhs.ravel()
     sol, info = scipy.sparse.linalg.gmres(
         A, b_flat, x0=m_hat.ravel(), rtol=tol, atol=0.0,
-        restart=min(50, nflat), maxiter=maxiter, M=M)
+        restart=min(50, nflat), maxiter=500, M=M)
     if info != 0:
         residual = float(np.linalg.norm(b_flat - A.matvec(sol))
                          / max(np.linalg.norm(b_flat), 1e-300))

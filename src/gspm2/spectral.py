@@ -42,8 +42,9 @@ class SpectralPlan:
             + self.lam_y[None, :, None]
             + self.lam_z[None, None, :]
         )
-        # length-1 axes transform to themselves; skip them
-        self._axes = tuple(ax for ax, n in enumerate(grid.shape) if n > 1) or (0,)
+        # grid axes counted from the end, so a (3, nx, ny, nz) stack transforms
+        # per component; length-1 axes transform to themselves: skip them
+        self._axes = tuple(ax - 3 for ax, n in enumerate(grid.shape) if n > 1) or (-3,)
         self.solve_count = 0
         self._symbol_key = None
         self._symbol = None
@@ -72,16 +73,23 @@ def build_plan(grid: Grid) -> SpectralPlan:
 
 
 def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.ndarray:
-    """Solve (I - a*Lap_h + b*Lap_h^2) u = f for one scalar field.
+    """Solve (I - a*Lap_h + b*Lap_h^2) u = f for a scalar field of the grid's
+    shape, or for each component of a (3, nx, ny, nz) stack.
 
     b = 0 selects the backward-Euler heat operator; a = b = 0 is the
-    identity. Raises ValueError for negative or non-finite coefficients.
+    identity. A stack counts as one solve per component. Raises ValueError
+    for negative or non-finite coefficients, or when the trailing shape of f
+    is not the grid's.
     """
     if not (np.isfinite(a) and np.isfinite(b) and a >= 0.0 and b >= 0.0):
         raise ValueError(f"coefficients must be finite and >= 0, got a={a}, b={b}")
+    f = np.asarray(f, dtype=float)
+    if f.shape[-3:] != plan.grid.shape:
+        raise ValueError(f"field of shape {f.shape} does not end in the grid "
+                         f"shape {plan.grid.shape}")
     sym = plan.symbol(a, b)
-    plan.solve_count += 1
-    return plan.inverse(plan.forward(np.asarray(f, dtype=float)) / sym)
+    plan.solve_count += f.size // plan.grid.n_cells
+    return plan.inverse(plan.forward(f) / sym)
 
 
 def dense_operator_matrix(grid: Grid, a: float, b: float = 0.0, max_cells: int = 4096) -> np.ndarray:

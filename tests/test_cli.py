@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gspm2 import physics
 from gspm2.cli import emit, main, run
@@ -111,6 +112,17 @@ class TestMainExitCodes:
         cfg_path = write_cfg(tmp_path, dict(SOLVE_UNIFORM, n_steps=2.5))
         assert main(["solve", "--config", cfg_path]) == 2
         assert "n_steps must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        dict(MICROMAG_SMALL, t_final_seconds=float("inf")),
+        {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.05]},
+    ], ids=["infinite-duration", "one-step-size"])
+    def test_config_numbers_that_crash_a_run_are_2(self, tmp_path, capsys, payload):
+        cfg_path = write_cfg(tmp_path, payload)
+        assert main([payload["kind"], "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_kind_mismatch_is_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SOLVE_UNIFORM)

@@ -140,6 +140,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integer|at least one step"):
             ExperimentConfig.from_dict(data)
 
+    # numbers that would crash a run: infinities, and studies of one run
+    BAD_NUMBERS = [
+        ("micromag", {"t_final_seconds": float("inf")}),
+        ("micromag", {"dt_seconds": float("inf")}),
+        ("micromag", {"t_final_seconds": 1e300, "dt_seconds": 1e-12}),
+        ("converge-time", {"alpha": float("inf")}),
+        ("converge-time", {"dt_list": [0.05]}),
+        ("converge-time", {"dt_list": [0.05, float("inf")]}),
+        ("converge-space", {"dx_list": [0.1]}),
+        ("converge-2d", {"dt_divisors": [10]}),
+        ("stability", {"h_list": [float("nan")]}),
+        ("stability", {"h_list": 0.1}),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,change", BAD_NUMBERS,
+        ids=[f"{k}-{'-'.join(f'{n}={v}' for n, v in c.items())}"
+             for k, c in BAD_NUMBERS])
+    def test_nonfinite_or_too_few(self, kind, change):
+        with pytest.raises(ConfigError, match="finite|at least"):
+            ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
+
+    def test_removed_fields_are_unknown(self):
+        for name, value in (("error_cap", 0.5), ("full_scale_grid", [8, 8, 2])):
+            with pytest.raises(ConfigError, match="unknown config fields"):
+                ExperimentConfig.from_dict(dict(self.BY_KIND["micromag"],
+                                                **{name: value}))
+
     def test_solve_params_required_keys(self):
         with pytest.raises(ConfigError, match="eps"):
             ExperimentConfig.from_dict({"kind": "solve", "scheme": "si2",

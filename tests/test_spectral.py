@@ -105,6 +105,26 @@ class TestSolve:
         solve(plan, f, 0.0, 0.0)
         assert plan.solve_count == before + 2
 
+    # (3, 1, 1): three components over three cells; the component axis is
+    # not a grid axis, even where the lengths agree
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (7, 1, 1), (1, 5, 1), (6, 5, 1),
+                                       (1, 4, 3), (5, 4, 3), (4, 4, 4), (8, 3, 2)])
+    def test_stack_equals_per_component(self, shape):
+        plan = build_plan(Grid(*shape, 1.0, 0.8, 0.6))
+        f = np.random.default_rng(7).standard_normal((3,) + shape)
+        before = plan.solve_count
+        u = solve(plan, f, 0.1, 0.01)
+        assert plan.solve_count == before + 3
+        for i in range(3):
+            assert np.array_equal(u[i], solve(plan, f[i], 0.1, 0.01))
+
+    def test_rejects_field_not_ending_in_grid_shape(self):
+        plan = build_plan(Grid.line(4))
+        for shape in [(4,), (3, 4), (4, 1), (3, 1, 1)]:
+            with pytest.raises(ValueError, match="grid shape"):
+                solve(plan, np.ones(shape), 0.1, 0.01)
+        assert plan.solve_count == 0
+
 
     def test_symbol_kept_for_its_coefficients(self):
         plan = build_plan(Grid(5, 3, 2, 1.0, 1.0, 1.0))
