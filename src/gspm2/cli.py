@@ -82,8 +82,16 @@ def _initial_field(grid: Grid, init: dict | None, seed: int) -> np.ndarray:
     init = init or {"type": "uniform", "direction": [0.0, 0.0, 1.0]}
     kind = init.get("type", "uniform")
     if kind == "uniform":
-        d = np.asarray(init.get("direction", [0.0, 0.0, 1.0]), dtype=float)
-        d = d / np.linalg.norm(d)
+        direction = init.get("direction", [0.0, 0.0, 1.0])
+        try:
+            d = np.asarray(direction, dtype=float)
+        except (TypeError, ValueError):
+            d = np.empty(0)
+        norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ConfigError(f"uniform direction must be a finite nonzero "
+                              f"3-vector, got {direction!r}")
+        d = d / norm
         return sample_vector(grid, lambda X, Y, Z: (
             np.full_like(X, d[0]), np.full_like(X, d[1]), np.full_like(X, d[2])))
     if kind == "stripes":

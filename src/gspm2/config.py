@@ -102,8 +102,9 @@ class ExperimentConfig:
 
     @staticmethod
     def _is_positive(value) -> bool:
-        return (isinstance(value, (int, float)) and math.isfinite(value)
-                and value > 0)
+        # JSON true/false parse to bool, which Python counts as an int
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0)
 
     def _positive(self, *names):
         for name in names:
@@ -150,7 +151,8 @@ class ExperimentConfig:
         self._positive_list("h_list", "domain", "cfl_bracket")
         if self.grid is not None:
             if (len(self.grid) != 3
-                    or any(not isinstance(n, int) or n < 1 for n in self.grid)):
+                    or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
+                           for n in self.grid)):
                 raise ConfigError(f"grid must be three positive integers, got {self.grid!r}")
 
         if self.kind == "converge-time":

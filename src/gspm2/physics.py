@@ -9,6 +9,13 @@ the stray field being the magnetostatic field of the cell-averaged
 magnetization, evaluated with the Newell cell-pair tensor (A. Newell,
 W. Williams, D. Dunlop, J. Geophys. Res. 98, 9551 (1993)) and applied by
 zero-padded FFT convolution on the doubled grid.
+
+Each tensor entry is a 64-corner alternating sum of a Newell potential. Its
+terms read the potential at only 27 distinct shifted offsets, so the single
+entry and the kernel build share one corner sum over a table of potential
+values: the entry tabulates its own 27 offsets, the build evaluates each
+potential once per distinct offset of the whole padded lattice. Both keep the
+sum's term order, so the kernel equals the entry bit for bit.
 """
 
 from __future__ import annotations
@@ -130,21 +137,42 @@ _COMPONENT_RECIPE = {
 }
 
 
-def demag_tensor_entry(component: str, X, Y, Z, spacing) -> np.ndarray:
-    """Cell-averaged demagnetization tensor entry for center offsets (X, Y, Z).
+# each cell-pair tensor entry reads its potential at the 27 shifts k = s - t
+_SHIFTS = (-1, 0, 1)
 
-    The 64-corner alternating sum of the Newell potential over one pair of
-    rectangular cells with the given spacing. The self entry (offset 0) has
-    trace 1: for a cubic cell each diagonal entry is 1/3.
+
+def _corner_sum(value, spacing):
+    """The 64-corner alternating Newell sum over one pair of cells.
+
+    `value(kx, ky, kz)` returns the potential at the centre offset shifted by
+    k = s - t cell widths per axis, k in {-1, 0, 1}. Both the entry and the
+    kernel build accumulate through here, so they agree bit for bit.
     """
-    func, order = _COMPONENT_RECIPE[component]
     hx, hy, hz = spacing
     total = 0.0
     for sx, sy, sz, tx, ty, tz in itertools.product((0, 1), repeat=6):
         sign = (-1.0) ** (sx + sy + sz + tx + ty + tz)
-        args = (X + (sx - tx) * hx, Y + (sy - ty) * hy, Z + (sz - tz) * hz)
-        total = total + sign * func(args[order[0]], args[order[1]], args[order[2]])
+        total = total + sign * value(sx - tx, sy - ty, sz - tz)
     return total / (4.0 * np.pi * hx * hy * hz)
+
+
+def demag_tensor_entry(component: str, X, Y, Z, spacing) -> np.ndarray:
+    """Cell-averaged demagnetization tensor entry for center offsets (X, Y, Z).
+
+    The 64-corner alternating sum of the Newell potential over one pair of
+    rectangular cells with the given spacing. The corner s and t enter only
+    through the shift s - t, so the potential is evaluated once at each of
+    the 27 shifted offsets and the shared corner sum reads it from that
+    table. The self entry (offset 0) has trace 1: for a cubic cell each
+    diagonal entry is 1/3.
+    """
+    func, order = _COMPONENT_RECIPE[component]
+    hx, hy, hz = spacing
+    table = {}
+    for k in itertools.product(_SHIFTS, repeat=3):
+        args = (X + k[0] * hx, Y + k[1] * hy, Z + k[2] * hz)
+        table[k] = func(args[order[0]], args[order[1]], args[order[2]])
+    return _corner_sum(lambda *k: table[k], spacing)
 
 
 class DemagKernel:
@@ -177,18 +205,43 @@ def _displacements(n: int) -> np.ndarray:
 
 
 def build_demag_kernel(grid: Grid) -> DemagKernel:
-    """Build the FFT-domain demag kernel for a grid (done once per run)."""
+    """Build the FFT-domain demag kernel for a grid (done once per run).
+
+    Per axis, the offsets D + k h (D the padded displacements, k in
+    {-1, 0, 1}) are exactly the arguments `demag_tensor_entry` would form.
+    Neighbouring displacements share most of them, so each component's
+    potential is evaluated once on the outer product of the distinct values,
+    and the corner sum gathers each term's block through the inverse
+    indices: the blocks equal the entry's bit for bit.
+    """
     padded = tuple(1 if n == 1 else 2 * n for n in grid.shape)
-    hx, hy, hz = grid.spacing
-    X = (_displacements(grid.nx) * hx)[:, None, None]
-    Y = (_displacements(grid.ny) * hy)[None, :, None]
-    Z = (_displacements(grid.nz) * hz)[None, None, :]
+    uniques, index = [], []
+    for n, h in zip(grid.shape, grid.spacing):
+        shifted = _displacements(n) * h + np.array(_SHIFTS)[:, None] * h
+        unique, inverse = np.unique(shifted, return_inverse=True)
+        uniques.append(unique)
+        index.append(inverse.reshape(shifted.shape))
+    points = np.meshgrid(*uniques, indexing="ij", sparse=True)
+    # the potential is evaluated in x slabs of at most one padded block each,
+    # so its temporaries stay no larger than the blocks the corner sum makes
+    rows = max(1, math.prod(padded) // (uniques[1].size * uniques[2].size))
     fft_components = {}
     self_diag = np.empty(3)
     for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
-        block = np.broadcast_to(
-            demag_tensor_entry(comp, X, Y, Z, grid.spacing), padded
-        ).copy()
+        func, order = _COMPONENT_RECIPE[comp]
+        table = np.empty(tuple(u.size for u in uniques))
+        for lo in range(0, table.shape[0], rows):
+            pts = (points[0][lo:lo + rows], points[1], points[2])
+            table[lo:lo + rows] = func(pts[order[0]], pts[order[1]], pts[order[2]])
+        # gathering along the contiguous z axis copies one value at a time,
+        # so that gather is made once per z shift; x and y copy whole runs
+        planes = [table.take(iz, axis=2) for iz in index[2]]
+        del table
+        block = _corner_sum(
+            lambda kx, ky, kz: planes[kz + 1].take(index[1][ky + 1], axis=1)
+                                             .take(index[0][kx + 1], axis=0),
+            grid.spacing)
+        del planes
         if i < 3:
             self_diag[i] = block[0, 0, 0]
         fft_components[comp] = scipy.fft.rfftn(block)
@@ -200,9 +253,10 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
 
     The padding is never materialized: the forward transforms run axis by
     axis (z, then y, then x), each zero-extending its input to the padded
-    length, so rows that are all zero are never transformed. The inverse
-    transforms run in the opposite order and keep only the first n entries
-    of each axis as soon as that axis is done.
+    length, so rows that are all zero are never transformed. Each output
+    component is then formed and transformed back on its own, in the
+    opposite axis order, keeping only the first n entries of each axis as
+    soon as that axis is done; one component's spectrum is held at a time.
     """
     nx, ny, nz = kernel.grid.shape
     px, py, pz = kernel.padded_shape
@@ -211,17 +265,17 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     mf = scipy.fft.fft(mf, n=px, axis=1, overwrite_x=True)
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
-    hf = np.empty_like(mf)
+    h = np.empty((3, nx, ny, nz))
+    out = np.empty_like(mf[0])
     term = np.empty_like(mf[0])
-    for out, row in zip(hf, rows):
+    for hi, row in zip(h, rows):
         np.multiply(K[row[0]], mf[0], out=out)
         for comp, mj in zip(row[1:], mf[1:]):
             out += np.multiply(K[comp], mj, out=term)
-    del mf
-    h = scipy.fft.ifft(hf, axis=1, overwrite_x=True)[:, :nx]
-    h = scipy.fft.ifft(h, axis=2, overwrite_x=True)[:, :, :ny]
-    h = scipy.fft.irfft(h, n=pz, axis=3)[..., :nz]
-    return -h
+        c = scipy.fft.ifft(out, axis=0, overwrite_x=True)[:nx]
+        c = scipy.fft.ifft(c, axis=1, overwrite_x=True)[:, :ny]
+        np.negative(scipy.fft.irfft(c, n=pz, axis=2)[..., :nz], out=hi)
+    return h
 
 
 def local_field(params: MaterialParams, m: np.ndarray,

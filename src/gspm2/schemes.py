@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import spectral
 from .mesh import laplacian
@@ -331,6 +330,10 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     f(m_hat)] + dt g for the three coupled components, preconditioned by the
     per-component heat solve (I - (2/3) eps dt Lap)^(-1), then projects.
     """
+    # imported here, not with the module: it adds about 10 MB to the resident
+    # memory of every process, and only this reference scheme uses it
+    import scipy.sparse.linalg
+
     state = with_stray_field(state, params, kernel)
     grid = plan.grid
     m_hat = extrapolate(state.m_prev, state.m_curr)

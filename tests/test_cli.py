@@ -124,6 +124,17 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("direction", [
+        [0.0, 0.0, 0.0], [1.0, float("nan"), 0.0], [1.0, 0.0], "z",
+    ], ids=["zero", "nan", "two-vector", "string"])
+    def test_bad_uniform_direction_is_2(self, tmp_path, capsys, direction):
+        payload = dict(SOLVE_UNIFORM,
+                       initial={"type": "uniform", "direction": direction})
+        cfg_path = write_cfg(tmp_path, payload)
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "uniform direction" in capsys.readouterr().err
+
     def test_kind_mismatch_is_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SOLVE_UNIFORM)
         assert main(["micromag", "--config", cfg_path]) == 2

@@ -128,6 +128,7 @@ class TestConfigValidation:
         ("solve", {"seed": "x"}), ("solve", {"seed": 1.5}),
         ("micromag", {"t_final_seconds": 1e-13}),
         ("micromag", {"dt_seconds": 1e-8, "t_final_seconds": None}),
+        ("solve", {"grid": [True, 4, 4]}),
     ]
 
     @pytest.mark.parametrize(
@@ -152,6 +153,9 @@ class TestConfigValidation:
         ("converge-2d", {"dt_divisors": [10]}),
         ("stability", {"h_list": [float("nan")]}),
         ("stability", {"h_list": 0.1}),
+        # JSON booleans are not numbers
+        ("solve", {"dt": True}),
+        ("converge-time", {"dt_list": [True, 0.5]}),
     ]
 
     @pytest.mark.parametrize(

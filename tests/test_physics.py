@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from gspm2.mesh import Grid, laplacian, sample_vector
 from gspm2.physics import (MU0, MaterialParams, PhysicalConstants,
-                           build_demag_kernel, demag_field, demag_tensor_entry,
-                           energy, local_field, nondimensionalize)
+                           _displacements, build_demag_kernel, demag_field,
+                           demag_tensor_entry, energy, local_field,
+                           nondimensionalize)
 
 FILM_CONSTANTS = PhysicalConstants(A=1.3e-11, Ms=8.0e5, Ku=1.0e2,
                                    gamma=1.76e11, L=1.0e-6)
@@ -86,6 +89,40 @@ class TestDemagTensor:
                           -demag_tensor_entry("xy", x, y, z, h), rtol=1e-10)
         assert np.isclose(demag_tensor_entry("xy", x, y, -z, h),
                           demag_tensor_entry("xy", x, y, z, h), rtol=1e-10)
+
+    # odd and length-1 axes, and a non-dyadic hz whose shifted offsets differ
+    # from the lattice nodes in the last bit
+    @pytest.mark.parametrize("shape,spacing", [
+        ((1, 1, 1), (1.0, 0.8, 0.3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
+        ((1, 4, 2), (1.0, 0.8, 0.3)), ((6, 5, 2), (1.0, 0.8, 0.3)),
+        ((16, 16, 3), (1.0, 1.0, 0.02)),
+    ], ids=["1x1x1", "5x3x1", "1x4x2", "6x5x2", "16x16x3-film"])
+    def test_kernel_is_the_entry_bit_for_bit(self, shape, spacing):
+        g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
+        k = build_demag_kernel(g)
+        X, Y, Z = np.meshgrid(*(_displacements(n) * h
+                                for n, h in zip(g.shape, g.spacing)),
+                              indexing="ij", sparse=True)
+        for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
+            block = np.broadcast_to(demag_tensor_entry(comp, X, Y, Z, g.spacing),
+                                    k.padded_shape)
+            assert k.fft[comp].tobytes() == scipy.fft.rfftn(block).tobytes(), comp
+            if i < 3:
+                assert k.self_diag[i].tobytes() == block[0, 0, 0].tobytes(), comp
+
+    def test_build_peak_memory_bound(self):
+        # 64x64x4 padded blocks of 128 KiB; the six spectra hold 1.1 MiB.
+        # The build peaked at 1.8 MiB when it evaluated the potential on the
+        # padded lattice directly; holding every shifted block would not fit.
+        g = Grid(32, 32, 2, 32.0, 32.0, 0.04)
+        build_demag_kernel(g)
+        tracemalloc.start()
+        try:
+            build_demag_kernel(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 2 ** 20, peak
 
 
 class TestDemagField:
