@@ -1,6 +1,10 @@
 """Command-line front end: experiment dispatch, timing, and serialization.
 
-    gspm2 <kind> --config cfg.json [--out DIR] [--full-scale] [--formats csv,json,vtk]
+    gspm2 <kind> --config cfg.json [--out DIR] [--formats csv,json,vtk]
+
+Reads the values `ExperimentConfig.validate` resolved; each kind's fields
+and defaults are in `config.KIND_FIELDS`. The micromag production grid is
+`"grid": [250, 250, 5]`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical blow-up. Stability
 scans absorb blow-ups internally (they are the signal being measured, not a
@@ -19,14 +23,12 @@ import numpy as np
 
 from . import convergence as conv
 from . import io as gio
-from .config import DEFAULT_CONSTANTS, KINDS, ConfigError, ExperimentConfig
+from .config import KINDS, ConfigError, ExperimentConfig, material_params
 from .manufactured import case_1d, case_3d, neel_wall_initial
 from .mesh import Grid, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
                       energy, nondimensionalize)
 from .schemes import BlowUpError
-
-FULL_SCALE_GRID = (250, 250, 5)   # 4 nm cubic cells over 1 x 1 x 0.02 um
 
 
 @dataclass
@@ -49,7 +51,7 @@ def _run_convergence(cfg: ExperimentConfig) -> RunRecord:
     """The converge-time, converge-space and converge-2d error studies."""
     if cfg.kind == "converge-2d":
         report = conv.run_wall_reference_convergence(
-            cfg.scheme, alpha=cfg.alpha, dx=cfg.dx, domain=cfg.domain or (1.0, 0.2),
+            cfg.scheme, alpha=cfg.alpha, dx=cfg.dx, domain=cfg.domain,
             t_final=cfg.t_final, dt_divisors=cfg.dt_divisors,
             ref_divisor=cfg.ref_divisor)
     else:
@@ -67,9 +69,8 @@ def _run_convergence(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _run_stability(cfg: ExperimentConfig) -> RunRecord:
-    case = case_1d(cfg.alpha if cfg.alpha is not None else 1.0)
-    t_final = cfg.t_final if cfg.t_final is not None else 1.0
-    report = conv.stability_scan(cfg.scheme, case, cfg.h_list, t_final=t_final,
+    report = conv.stability_scan(cfg.scheme, case_1d(cfg.alpha), cfg.h_list,
+                                 t_final=cfg.t_final,
                                  cfl_bracket=tuple(cfg.cfl_bracket),
                                  rounds=cfg.rounds)
     summary = {"rows": [{"h": r.h, "dt_stable": r.dt_stable}
@@ -78,20 +79,11 @@ def _run_stability(cfg: ExperimentConfig) -> RunRecord:
                      summary=summary)
 
 
-def _initial_field(grid: Grid, init: dict | None, seed: int) -> np.ndarray:
-    init = init or {"type": "uniform", "direction": [0.0, 0.0, 1.0]}
-    kind = init.get("type", "uniform")
+def _initial_field(grid: Grid, init: dict, seed: int) -> np.ndarray:
+    kind = init["type"]
     if kind == "uniform":
-        direction = init.get("direction", [0.0, 0.0, 1.0])
-        try:
-            d = np.asarray(direction, dtype=float)
-        except (TypeError, ValueError):
-            d = np.empty(0)
-        norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
-        if not (np.isfinite(norm) and norm > 0.0):
-            raise ConfigError(f"uniform direction must be a finite nonzero "
-                              f"3-vector, got {direction!r}")
-        d = d / norm
+        d = np.asarray(init["direction"], dtype=float)
+        d = d / np.linalg.norm(d)
         return sample_vector(grid, lambda X, Y, Z: (
             np.full_like(X, d[0]), np.full_like(X, d[1]), np.full_like(X, d[2])))
     if kind == "stripes":
@@ -105,24 +97,23 @@ def _initial_field(grid: Grid, init: dict | None, seed: int) -> np.ndarray:
 
         return sample_vector(grid, fn)
     if kind == "neel-wall":
-        eta = float(init.get("eta", grid.hx))
-        return sample_vector(grid, neel_wall_initial(eta))
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((3,) + grid.shape)
-        return m / np.sqrt((m * m).sum(axis=0))
-    raise ConfigError(f"unknown initial state type {kind!r}")
+        return sample_vector(grid, neel_wall_initial(init.get("eta", grid.hx)))
+    # the remaining type, "random"
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3,) + grid.shape)
+    return m / np.sqrt((m * m).sum(axis=0))
 
 
-def _run_stepping(cfg: ExperimentConfig, scheme: str, grid: Grid,
-                  params: MaterialParams, m0: np.ndarray, dt: float, n_steps: int,
-                  snapshot_every: int, summary: dict) -> RunRecord:
+def _run_stepping(cfg: ExperimentConfig, grid: Grid, params: MaterialParams,
+                  m0: np.ndarray, dt: float, n_steps: int,
+                  summary: dict) -> RunRecord:
     """Shared stepping run of the micromag and solve kinds.
 
     Builds the demag kernel if the stray field is on, then records the
     energy after every step (its stray part from the field the step carries,
     so a step costs one convolution), stepper wall time (exclusive of the
-    recording itself), and mid-plane snapshots at the requested cadence.
+    recording itself), and mid-plane snapshots every cfg.snapshot_every
+    steps (none for 0).
     Takes n_steps >= 1: the initial energy is recorded at the first step,
     from the h_s(m0) that `integrate` seeded, so m0 is convolved once.
     `summary` gains the energies, the unit deviation and n_steps.
@@ -132,7 +123,7 @@ def _run_stepping(cfg: ExperimentConfig, scheme: str, grid: Grid,
     timing_series = []
     snapshots = []
     mid_k = grid.nz // 2
-    if snapshot_every:
+    if cfg.snapshot_every:
         snapshots.append((0, m0[:, :, :, mid_k:mid_k + 1].copy()))
     last = time.perf_counter()
 
@@ -145,12 +136,12 @@ def _run_stepping(cfg: ExperimentConfig, scheme: str, grid: Grid,
         energy_series.append((state.step_index, state.t,
                               energy(params, grid, state.m_curr, kernel,
                                      stray=state.hs_curr)))
-        if snapshot_every and state.step_index % snapshot_every == 0:
+        if cfg.snapshot_every and state.step_index % cfg.snapshot_every == 0:
             snapshots.append(
                 (state.step_index, state.m_curr[:, :, :, mid_k:mid_k + 1].copy()))
         last = time.perf_counter()
 
-    result = conv.integrate(scheme, m0, grid, params, dt, n_steps,
+    result = conv.integrate(cfg.scheme, m0, grid, params, dt, n_steps,
                             kernel=kernel, on_step=on_step)
     summary.update(initial_energy=energy_series[0][2],
                    terminal_energy=energy_series[-1][2],
@@ -161,46 +152,34 @@ def _run_stepping(cfg: ExperimentConfig, scheme: str, grid: Grid,
                      grid=grid)
 
 
-def _run_micromag(cfg: ExperimentConfig, full_scale: bool) -> RunRecord:
-    constants = cfg.constants or DEFAULT_CONSTANTS
-    eps, q, time_unit = nondimensionalize(
-        PhysicalConstants(**{k: constants[k] for k in DEFAULT_CONSTANTS}))
-    nx, ny, nz = FULL_SCALE_GRID if full_scale else cfg.grid or (64, 64, 3)
+def _run_micromag(cfg: ExperimentConfig) -> RunRecord:
+    eps, q, time_unit = nondimensionalize(PhysicalConstants(**cfg.constants))
     # film extent 1 x 1 x 0.02 over the rescaling length L
-    grid = Grid(nx, ny, nz, 1.0, 1.0, 0.02)
+    grid = Grid(*cfg.grid, 1.0, 1.0, 0.02)
     params = MaterialParams(eps=eps, alpha=cfg.alpha, q=q, stray_enabled=True)
-    dt_seconds, t_final_seconds = cfg._micromag_seconds()
-    dt = dt_seconds / time_unit
-    n_steps = round(t_final_seconds / dt_seconds)
-    m0 = _initial_field(grid, cfg.initial or {"type": "stripes"}, cfg.seed)
+    dt = cfg.dt_seconds / time_unit
+    n_steps = round(cfg.t_final_seconds / cfg.dt_seconds)
+    m0 = _initial_field(grid, cfg.initial, cfg.seed)
     summary = {"eps": eps, "q": q, "time_unit_seconds": time_unit,
                "dt_dimensionless": dt, "t_final_dimensionless": n_steps * dt}
-    return _run_stepping(cfg, cfg.scheme or "scheme-a", grid, params, m0, dt,
-                         n_steps, cfg.snapshot_every or 500, summary)
+    return _run_stepping(cfg, grid, params, m0, dt, n_steps, summary)
 
 
 def _run_solve(cfg: ExperimentConfig) -> RunRecord:
-    domain = cfg.domain or [1.0, 1.0, 1.0]
-    if len(domain) != 3:
-        raise ConfigError("solve domain must be [lx, ly, lz]")
-    grid = Grid(*cfg.grid, *[float(v) for v in domain])
-    p = dict(cfg.params)
-    params = MaterialParams(eps=p["eps"], alpha=p["alpha"], q=p.get("q", 0.0),
-                            h_ext=tuple(p.get("h_ext", (0.0, 0.0, 0.0))),
-                            stray_enabled=bool(p.get("stray", False)))
+    grid = Grid(*cfg.grid, *cfg.domain)
     m0 = _initial_field(grid, cfg.initial, cfg.seed)
-    return _run_stepping(cfg, cfg.scheme, grid, params, m0, cfg.dt, cfg.n_steps,
-                         cfg.snapshot_every, {})
+    return _run_stepping(cfg, grid, material_params(cfg.params), m0, cfg.dt,
+                         cfg.n_steps, {})
 
 
-def run(cfg: ExperimentConfig, full_scale: bool = False) -> RunRecord:
+def run(cfg: ExperimentConfig) -> RunRecord:
     """Dispatch one validated config; returns the in-memory record."""
     if cfg.kind in ("converge-time", "converge-space", "converge-2d"):
         return _run_convergence(cfg)
     if cfg.kind == "stability":
         return _run_stability(cfg)
     if cfg.kind == "micromag":
-        return _run_micromag(cfg, full_scale)
+        return _run_micromag(cfg)
     if cfg.kind == "solve":
         return _run_solve(cfg)
     raise ConfigError(f"unknown kind {cfg.kind!r}")
@@ -260,8 +239,6 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="gspm2-out", help="output directory")
-    parser.add_argument("--full-scale", action="store_true",
-                        help="micromag: use the full 250x250x5 production grid")
     parser.add_argument("--formats", default="csv,json,vtk",
                         help="comma-separated subset of csv,json,vtk")
     args = parser.parse_args(argv)
@@ -277,7 +254,7 @@ def main(argv=None) -> int:
         if cfg.kind != args.kind:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match command {args.kind!r}")
-        record = run(cfg, full_scale=args.full_scale)
+        record = run(cfg)
     except ConfigError as exc:
         print(f"gspm2: config error: {exc}", file=sys.stderr)
         return 2

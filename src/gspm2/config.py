@@ -1,20 +1,32 @@
-"""Experiment configuration: a flat JSON-backed record with per-kind validation.
+"""Experiment configuration: a JSON-backed record checked against one table.
+
+`KIND_FIELDS` maps each run kind to the fields it reads, each with its
+default or `REQUIRED`. `validate` rejects a set field the kind does not
+read, fills in the defaults (deep copies), requires the rest and checks
+every value; the nested `params`, `constants` and `initial` objects go the
+same way, their ranges checked by `MaterialParams` and `PhysicalConstants`.
+The micromag production grid is `"grid": [250, 250, 5]` (4 nm cells).
 
 A config round-trips exactly: `ExperimentConfig.from_dict(cfg.to_dict())`
-equals `cfg`, and the emitted config.json re-parses to the same object.
+equals `cfg`, and the emitted config.json, every field of the kind with its
+default filled in, re-parses to the same object.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from .convergence import _STEPPERS
+from .physics import MaterialParams, PhysicalConstants
 
-KINDS = ("converge-time", "converge-space", "converge-2d", "stability",
-         "micromag", "solve")
 CASES = ("mms-1d", "mms-3d")
+REQUIRED = object()     # marks a field with no default
 
 # SI constants of the thin-film experiment; L is the rescaling length
 DEFAULT_CONSTANTS = {
@@ -24,13 +36,84 @@ DEFAULT_CONSTANTS = {
     "gamma": 1.76e11,   # 1/(T s)
     "L": 1.0e-6,        # m
 }
-# micromag step and duration when the config gives none
-_MICROMAG_DT_SECONDS = 1.0e-12
-_MICROMAG_T_FINAL_SECONDS = 2.0e-9
+
+_R = REQUIRED
+KIND_FIELDS = {
+    "converge-time": {"scheme": _R, "case": _R, "alpha": _R, "dx": _R,
+                      "t_final": _R, "dt_list": _R},
+    "converge-space": {"scheme": _R, "case": _R, "alpha": _R, "dt": _R,
+                       "t_final": _R, "dx_list": _R},
+    "converge-2d": {"scheme": _R, "alpha": _R, "dx": _R, "t_final": _R,
+                    "dt_divisors": _R, "ref_divisor": 5000,
+                    "domain": [1.0, 0.2]},
+    "stability": {"scheme": _R, "h_list": _R, "alpha": 1.0, "t_final": 1.0,
+                  "cfl_bracket": [0.125, 1.0], "rounds": 6},
+    "micromag": {"alpha": _R, "scheme": "scheme-a", "grid": [64, 64, 3],
+                 "initial": {"type": "stripes"}, "seed": 0,
+                 "constants": DEFAULT_CONSTANTS, "dt_seconds": 1.0e-12,
+                 "t_final_seconds": 2.0e-9, "snapshot_every": 500},
+    "solve": {"scheme": _R, "grid": _R, "params": _R, "dt": _R, "n_steps": _R,
+              "domain": [1.0, 1.0, 1.0], "initial": {"type": "uniform"},
+              "seed": 0, "snapshot_every": 0},
+}
+KINDS = tuple(KIND_FIELDS)
+
+# keys of the nested objects; a None default marks an optional key left unset
+PARAMS_FIELDS = {"eps": _R, "alpha": _R, "q": 0.0, "h_ext": [0.0, 0.0, 0.0],
+                 "stray": False}
+CONSTANTS_FIELDS = dict.fromkeys(DEFAULT_CONSTANTS, _R)
+# by initial-state type; a missing neel-wall eta is the grid's hx
+INITIAL_FIELDS = {"uniform": {"direction": [0.0, 0.0, 1.0]},
+                  "neel-wall": {"eta": None}, "stripes": {}, "random": {}}
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _resolve(table: dict, given: dict, where: str) -> dict:
+    """`given` with `table`'s defaults filled in as deep copies; rejects a
+    key the table lacks and a REQUIRED one left unset."""
+    unread = sorted(set(given) - set(table))
+    if unread:
+        raise ConfigError(f"{where} does not read fields {unread}")
+    for name, default in table.items():
+        if default is REQUIRED and name not in given:
+            raise ConfigError(f"{where} requires field {name!r}")
+    return {**{name: copy.deepcopy(default) for name, default in table.items()
+               if default is not REQUIRED and default is not None}, **given}
+
+
+def _is_number(value) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int; a JSON
+    # integer beyond the float range cannot enter float arithmetic
+    return (isinstance(value, float) or not isinstance(value, bool)
+            and isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and math.isfinite(value) and value > 0
+
+
+def _numbers(where: str, values: dict):
+    for name, value in values.items():
+        if not _is_number(value):
+            raise ConfigError(f"{where} {name} must be a number, got {value!r}")
+
+
+def _checked(where: str, make, *args, **kwargs):
+    """`make(...)`, its ValueError (a range check) raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def material_params(params: dict) -> MaterialParams:
+    """The solve kind's material model from its resolved `params` object."""
+    return MaterialParams(eps=params["eps"], alpha=params["alpha"], q=params["q"],
+                          h_ext=tuple(params["h_ext"]),
+                          stray_enabled=params["stray"])
 
 
 @dataclass
@@ -45,17 +128,17 @@ class ExperimentConfig:
     dt_list: list | None = None
     dx_list: list | None = None
     dt_divisors: list | None = None
-    ref_divisor: int = 5000
+    ref_divisor: int | None = None
     domain: list | None = None
     h_list: list | None = None
-    cfl_bracket: list = field(default_factory=lambda: [0.125, 1.0])
-    rounds: int = 6
+    cfl_bracket: list | None = None
+    rounds: int | None = None
     grid: list | None = None
     params: dict | None = None
     initial: dict | None = None
     n_steps: int | None = None
-    snapshot_every: int = 0
-    seed: int = 0
+    snapshot_every: int | None = None
+    seed: int | None = None
     constants: dict | None = None
     dt_seconds: float | None = None
     t_final_seconds: float | None = None
@@ -87,29 +170,12 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(data)
 
-    def _micromag_seconds(self) -> tuple:
-        """(dt_seconds, t_final_seconds), micromag defaults for unset ones."""
-        return (_MICROMAG_DT_SECONDS if self.dt_seconds is None else self.dt_seconds,
-                _MICROMAG_T_FINAL_SECONDS if self.t_final_seconds is None
-                else self.t_final_seconds)
-
     # ---- validation ----------------------------------------------------
-
-    def _require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"kind {self.kind!r} requires field {name!r}")
-
-    @staticmethod
-    def _is_positive(value) -> bool:
-        # JSON true/false parse to bool, which Python counts as an int
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0)
 
     def _positive(self, *names):
         for name in names:
             value = getattr(self, name)
-            if value is not None and not self._is_positive(value):
+            if value is not None and not _is_positive(value):
                 raise ConfigError(f"{name} must be finite and positive, "
                                   f"got {value!r}")
 
@@ -129,14 +195,66 @@ class ExperimentConfig:
             if values is None:
                 continue
             if (not isinstance(values, (list, tuple)) or len(values) < min_len
-                    or not all(self._is_positive(v) for v in values)):
+                    or not all(_is_positive(v) for v in values)):
                 raise ConfigError(f"{name} must be a list of at least {min_len} "
                                   f"finite positive numbers, got {values!r}")
 
+    def _object(self, name: str, table: dict, where: str | None = None):
+        """Resolve the nested object `name` against `table` in place."""
+        value = getattr(self, name)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        setattr(self, name, _resolve(table, value, where or name))
+
+    def _check_params(self):
+        self._object("params", PARAMS_FIELDS)
+        p = self.params
+        _numbers("params", {k: p[k] for k in ("eps", "alpha", "q")})
+        if not (isinstance(p["h_ext"], (list, tuple))
+                and all(_is_number(v) for v in p["h_ext"])):
+            raise ConfigError(f"params h_ext must be a list of numbers, "
+                              f"got {p['h_ext']!r}")
+        if not isinstance(p["stray"], bool):
+            raise ConfigError(f"params stray must be true or false, "
+                              f"got {p['stray']!r}")
+        _checked("params", material_params, p)
+
+    def _check_constants(self):
+        self._object("constants", CONSTANTS_FIELDS)
+        _numbers("constants", self.constants)
+        _checked("constants", PhysicalConstants, **self.constants)
+
+    def _check_initial(self):
+        init = self.initial
+        kind = init.get("type") if isinstance(init, dict) else None
+        if kind not in INITIAL_FIELDS:
+            raise ConfigError(f"initial must be an object whose type is one of "
+                              f"{tuple(INITIAL_FIELDS)}, got {init!r}")
+        self._object("initial", dict(INITIAL_FIELDS[kind], type=REQUIRED),
+                     f"initial type {kind!r}")
+        if kind == "uniform":
+            d = self.initial["direction"]
+            # the norm the run divides by
+            norm = (np.linalg.norm(np.asarray(d, dtype=float))
+                    if isinstance(d, (list, tuple)) and len(d) == 3
+                    and all(_is_number(v) for v in d) else 0.0)
+            if not (math.isfinite(norm) and norm > 0.0):
+                raise ConfigError(f"uniform direction must be a finite nonzero "
+                                  f"3-vector, got {d!r}")
+        if "eta" in self.initial and not _is_positive(self.initial["eta"]):
+            raise ConfigError(f"neel-wall eta must be finite and positive, "
+                              f"got {self.initial['eta']!r}")
+
     def validate(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_FIELDS:
             raise ConfigError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.scheme is not None and self.scheme not in _STEPPERS:
+        given = {f.name: getattr(self, f.name) for f in fields(self)
+                 if f.name != "kind" and getattr(self, f.name) is not None}
+        for name, value in _resolve(KIND_FIELDS[self.kind], given,
+                                    f"kind {self.kind!r}").items():
+            setattr(self, name, value)
+
+        if self.scheme not in _STEPPERS:
             raise ConfigError(f"unknown scheme {self.scheme!r}, "
                               f"expected one of {tuple(_STEPPERS)}")
         if self.case is not None and self.case not in CASES:
@@ -150,39 +268,30 @@ class ExperimentConfig:
         self._positive_list("dt_list", "dx_list", "dt_divisors", min_len=2)
         self._positive_list("h_list", "domain", "cfl_bracket")
         if self.grid is not None:
-            if (len(self.grid) != 3
+            if (not isinstance(self.grid, (list, tuple)) or len(self.grid) != 3
                     or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
                            for n in self.grid)):
                 raise ConfigError(f"grid must be three positive integers, got {self.grid!r}")
 
-        if self.kind == "converge-time":
-            self._require("scheme", "case", "alpha", "dx", "t_final", "dt_list")
-        elif self.kind == "converge-space":
-            self._require("scheme", "case", "alpha", "dt", "t_final", "dx_list")
-        elif self.kind == "converge-2d":
-            self._require("scheme", "alpha", "dx", "t_final", "dt_divisors")
-            if self.domain is not None and len(self.domain) != 2:
+        if self.kind == "converge-2d":
+            if len(self.domain) != 2:
                 raise ConfigError("converge-2d domain must be [lx, ly]")
         elif self.kind == "stability":
-            self._require("scheme", "h_list")
             if len(self.cfl_bracket) != 2 or not self.cfl_bracket[0] < self.cfl_bracket[1]:
                 raise ConfigError(f"cfl_bracket must be [lo, hi] with lo < hi, "
                                   f"got {self.cfl_bracket!r}")
         elif self.kind == "micromag":
-            self._require("alpha")
-            dt_s, t_s = self._micromag_seconds()
-            steps = t_s / dt_s
+            steps = self.t_final_seconds / self.dt_seconds
             if not (math.isfinite(steps) and round(steps) >= 1):
                 raise ConfigError(f"micromag needs at least one step and a "
                                   f"finite count, got "
-                                  f"t_final_seconds={t_s!r}, dt_seconds={dt_s!r}")
-            if self.constants is not None:
-                missing = set(DEFAULT_CONSTANTS) - set(self.constants)
-                if missing:
-                    raise ConfigError(f"constants missing entries: {sorted(missing)}")
+                                  f"t_final_seconds={self.t_final_seconds!r}, "
+                                  f"dt_seconds={self.dt_seconds!r}")
+            self._check_constants()
+            self._check_initial()
         elif self.kind == "solve":
-            self._require("scheme", "grid", "params", "dt", "n_steps")
-            if not isinstance(self.params, dict) or "eps" not in self.params \
-                    or "alpha" not in self.params:
-                raise ConfigError("solve params must include at least eps and alpha")
+            if len(self.domain) != 3:
+                raise ConfigError("solve domain must be [lx, ly, lz]")
+            self._check_params()
+            self._check_initial()
         return self

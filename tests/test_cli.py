@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,13 @@ class TestRunMicromag:
         assert s["terminal_energy"] == physics.energy(params, grid,
                                                       res.state.m_curr, kernel)
 
+    def test_snapshot_every_zero_writes_final_field_only(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(dict(
+            MICROMAG_SMALL, grid=[4, 4, 1], t_final_seconds=2e-12,
+            snapshot_every=0))
+        paths = emit(run(cfg), str(tmp_path), {"vtk"})
+        assert [os.path.basename(p) for p in paths] == ["final.vtk"]
+
     def test_one_convolution_per_step(self, demag_calls):
         rec = run(ExperimentConfig.from_dict(MICROMAG_SMALL))
         # the integrator's h_s(m0), which the initial energy reuses, then one
@@ -117,7 +125,13 @@ class TestMainExitCodes:
         dict(MICROMAG_SMALL, t_final_seconds=float("inf")),
         {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
          "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.05]},
-    ], ids=["infinite-duration", "one-step-size"])
+        dict(SOLVE_UNIFORM, params={"eps": "x", "alpha": 0.1}),
+        dict(MICROMAG_SMALL, constants={"A": -1, "Ms": 8e5, "Ku": 1e2,
+                                        "gamma": 1.76e11, "L": 1e-6}),
+        dict(MICROMAG_SMALL, initial="uniform"),
+        dict(MICROMAG_SMALL, t_final_seconds=10 ** 400),
+    ], ids=["infinite-duration", "one-step-size", "params-eps-string",
+            "constants-negative", "initial-string", "integer-beyond-float"])
     def test_config_numbers_that_crash_a_run_are_2(self, tmp_path, capsys, payload):
         cfg_path = write_cfg(tmp_path, payload)
         assert main([payload["kind"], "--config", cfg_path,

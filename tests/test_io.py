@@ -1,7 +1,13 @@
+import json
+import os
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from gspm2.config import ConfigError, ExperimentConfig
+from gspm2.config import (DEFAULT_CONSTANTS, KIND_FIELDS, KINDS, ConfigError,
+                          ExperimentConfig)
 from gspm2.io import write_csv, write_json, write_vtk_structured_points
 
 
@@ -177,3 +183,74 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"kind": "solve", "scheme": "si2",
                                         "grid": [4, 4, 1], "dt": 1e-3,
                                         "n_steps": 2, "params": {"q": 1.0}})
+
+    _PARAMS = {"eps": 1.0, "alpha": 0.1}
+    # nested objects: malformed values, and keys the object does not take;
+    # (kind, change, message)
+    BAD_NESTED = [
+        ("solve", {"params": dict(_PARAMS, eps="x")}, "params eps must be a number"),
+        ("solve", {"params": dict(_PARAMS, eps=-1)}, "eps must be positive"),
+        ("solve", {"params": dict(_PARAMS, h_ext=5)}, "h_ext must be a list"),
+        ("solve", {"params": dict(_PARAMS, h_ext=[0, 0])}, "h_ext must be a finite 3"),
+        ("solve", {"params": dict(_PARAMS, eps=True)}, "params eps must be a number"),
+        ("solve", {"params": dict(_PARAMS, stray="no")}, "stray must be true or false"),
+        ("solve", {"params": dict(_PARAMS, Q=3)}, r"params does not read fields \['Q'\]"),
+        ("micromag", {"constants": dict(DEFAULT_CONSTANTS, A="x")},
+         "constants A must be a number"),
+        ("micromag", {"constants": dict(DEFAULT_CONSTANTS, A=-1)}, "A must be positive"),
+        ("micromag", {"constants": list(DEFAULT_CONSTANTS.values())},
+         "constants must be a JSON object"),
+        ("micromag", {"constants": dict(DEFAULT_CONSTANTS, mu0=1.0)},
+         r"constants does not read fields \['mu0'\]"),
+        ("micromag", {"initial": "uniform"}, "initial must be an object"),
+        ("solve", {"initial": {"type": "neel-wall", "eta": "x"}},
+         "eta must be finite and positive"),
+        ("solve", {"initial": {"type": "neel-wall", "eta": 0.0}},
+         "eta must be finite and positive"),
+        ("solve", {"initial": {"type": "neel-wall", "eta": float("inf")}},
+         "eta must be finite and positive"),
+        ("micromag", {"initial": {"type": "random", "direction": [0, 0, 1]}},
+         r"initial type 'random' does not read fields \['direction'\]"),
+    ]
+
+    @pytest.mark.parametrize("kind,change,message", BAD_NESTED, ids=[
+        "params-eps-string", "params-eps-negative", "params-h_ext-scalar",
+        "params-h_ext-two", "params-eps-bool", "params-stray-string",
+        "params-unknown-key", "constants-A-string", "constants-A-negative",
+        "constants-list", "constants-extra-key", "initial-string",
+        "initial-eta-string", "initial-eta-zero", "initial-eta-inf",
+        "initial-random-direction"])
+    def test_malformed_nested_objects(self, kind, change, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+class TestKindFields:
+    def test_every_field_is_read_by_some_kind(self):
+        read = set().union(*KIND_FIELDS.values())
+        assert read == {f.name for f in fields(ExperimentConfig)} - {"kind"}
+
+    UNREAD = [("micromag", "dt", 1e-3), ("converge-time", "grid", [4, 4, 1]),
+              ("solve", "dt_seconds", 1e-12), ("stability", "seed", 0),
+              ("converge-2d", "case", "mms-1d"), ("converge-space", "rounds", 6)]
+
+    @pytest.mark.parametrize("kind,name,value", UNREAD,
+                             ids=[f"{k}-{n}" for k, n, _ in UNREAD])
+    def test_rejects_a_field_the_kind_does_not_read(self, kind, name, value):
+        sample = TestConfigValidation.BY_KIND[kind]
+        with pytest.raises(ConfigError, match=f"kind '{kind}' does not read"):
+            ExperimentConfig.from_dict(dict(sample, **{name: value}))
+
+    def test_defaults_are_copies(self):
+        sample = TestConfigValidation.BY_KIND["micromag"]
+        ExperimentConfig.from_dict(sample).constants["A"] = 1.0
+        assert ExperimentConfig.from_dict(sample).constants == DEFAULT_CONSTANTS
+
+    def test_readme_examples_parse(self):
+        with open(README) as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        kinds = [ExperimentConfig.from_dict(json.loads(b)).kind for b in blocks]
+        assert set(kinds) == set(KINDS)
