@@ -85,11 +85,19 @@ class Grid:
 
     @cached_property
     def centers(self) -> tuple:
-        """Cell-center coordinate arrays (X, Y, Z), each of shape `shape`."""
+        """Cell-center coordinate arrays (X, Y, Z), each of shape `shape`.
+
+        Read-only, so that they stay what they were when first built: they
+        are shared by every caller, and `ManufacturedCase` keys its cache
+        on their identity.
+        """
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
         z = (np.arange(self.nz) + 0.5) * self.hz
-        return tuple(np.meshgrid(x, y, z, indexing="ij"))
+        centers = tuple(np.meshgrid(x, y, z, indexing="ij"))
+        for a in centers:
+            a.flags.writeable = False
+        return centers
 
 
 def _reject_nonfinite(values: np.ndarray, what: str):

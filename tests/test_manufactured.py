@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from gspm2.manufactured import (bump, bump_d1, bump_d2, case_1d, case_3d,
-                                cosine, cosine_d1, cosine_d2,
+from gspm2.convergence import integrate
+from gspm2.manufactured import (PHASES, bump, bump_d1, bump_d2, case_1d,
+                                case_3d, cosine, cosine_d1, cosine_d2,
                                 neel_wall_initial)
+from gspm2.mesh import Grid, sample_vector
+from gspm2.physics import MaterialParams
 
 
 def fd_second_derivative(f, x, h=2e-3):
@@ -177,6 +180,91 @@ class TestSource:
         from gspm2.manufactured import ManufacturedCase
         with pytest.raises(ValueError):
             ManufacturedCase(dimension=2, alpha=0.1)
+
+
+METHODS = ("exact", "time_derivative", "laplacian", "source")
+
+
+def _writable(grid):
+    """Copies of the grid's centers: writable, so the case does not cache them."""
+    return tuple(a.copy() for a in grid.centers)
+
+
+class TestSpatialFactorCache:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("phase", ["bump", "cosine"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
+    def test_cached_equals_fresh(self, dim, phase, t):
+        make, grid = (case_1d, Grid.line(16)) if dim == 1 else (case_3d, Grid.cube(4))
+        case, fresh = make(0.1, phase), make(0.1, phase)
+        for name in METHODS:
+            expected = getattr(fresh, name)(*_writable(grid), t)
+            for _ in range(2):
+                got = getattr(case, name)(*grid.centers, t)
+                assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("case,grid", [(case_1d(0.3, "cosine"), Grid.line(16)),
+                                           (case_3d(0.3), Grid.cube(4))],
+                             ids=["1", "3"])
+    def test_source_is_the_cross_product_form(self, case, grid):
+        C, t = grid.centers, 0.9
+        m = case.exact(*C, t)
+        cross = np.cross(m, case.laplacian(*C, t), axis=0)
+        expected = (case.time_derivative(*C, t) + cross
+                    + case.alpha * np.cross(m, cross, axis=0))
+        assert np.array_equal(case.source(*C, t), expected)
+
+    def test_alternating_grids(self):
+        case, fresh = case_1d(0.1, "cosine"), case_1d(0.1, "cosine")
+        grids = [Grid.line(16), Grid.line(24)]
+        expected = {(g.nx, name): getattr(fresh, name)(*_writable(g), 0.7)
+                    for g in grids for name in METHODS}
+        for _ in range(3):
+            for g in grids:
+                for name in METHODS:
+                    got = getattr(case, name)(*g.centers, 0.7)
+                    assert got.shape == (3, g.nx, 1, 1)
+                    assert np.array_equal(got, expected[(g.nx, name)]), (g.nx, name)
+
+    def test_warm_cache_leaves_equality_and_hash(self):
+        case = case_1d(0.1, "cosine")
+        case.source(*Grid.line(16).centers, 0.3)
+        fresh = case_1d(0.1, "cosine")
+        assert case == fresh and hash(case) == hash(fresh)
+        assert repr(case) == repr(fresh)
+        assert case != case_1d(0.2, "cosine")
+
+
+class TestOncePerGrid:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Per-derivative call counts of the bump phase: [u, u', u'']."""
+        counts = [0, 0, 0]
+
+        def counting(k, fn):
+            def wrapped(s):
+                counts[k] += 1
+                return fn(s)
+            return wrapped
+
+        monkeypatch.setitem(PHASES, "bump", tuple(
+            counting(k, fn) for k, fn in enumerate(PHASES["bump"])))
+        return counts
+
+    def test_sourced_run_evaluates_the_phase_once(self, calls):
+        case = case_1d(0.1)
+        grid = Grid.line(16)
+        m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
+        res = integrate("scheme-a", m0, grid, MaterialParams(eps=1.0, alpha=0.1),
+                        1e-4, 20, source=case.source)
+        assert res.n_steps == 20
+        assert calls == [1, 1, 1]
+
+    def test_exact_alone_skips_the_laplacian_factors(self, calls):
+        # the studies' set-up samples the exact field only; the Laplacian
+        # factors wait for the first step
+        case_1d(0.1).exact(*Grid.line(16).centers, 0.5)
+        assert calls == [1, 0, 0]
 
 
 class TestNeelWall:

@@ -42,6 +42,14 @@ class TestGrid:
         X, _, _ = g.centers
         assert np.allclose(X.ravel(), [0.25, 0.75])
 
+    def test_centers_are_read_only(self):
+        # shared by every caller and a cache key of ManufacturedCase
+        g = Grid.line(4)
+        with pytest.raises(ValueError):
+            g.centers[0][0, 0, 0] = 1.0
+        for a in g.centers:
+            assert not a.flags.writeable and a.flags.owndata
+
     def test_cell_volume(self):
         g = Grid(4, 3, 2, 2.0, 1.5, 1.0)
         assert np.isclose(g.cell_volume, 0.5 * 0.5 * 0.5)
