@@ -23,8 +23,8 @@ from .convergence import (ConvergenceReport, IntegrationResult, StabilityReport,
                           run_wall_reference_convergence, stability_scan,
                           wall_reference_solution)
 from .manufactured import ManufacturedCase, case_1d, case_3d, neel_wall_initial
-from .mesh import (Grid, biharmonic, field_norm, laplacian, norm_inf, norm_l2,
-                   sample_scalar, sample_vector)
+from .mesh import (Grid, biharmonic, laplacian, norm_inf, norm_l2, sample_scalar,
+                   sample_vector)
 from .physics import (MU0, DemagKernel, MaterialParams, PhysicalConstants,
                       build_demag_kernel, demag_field, demag_tensor_entry,
                       energy, local_field, nondimensionalize)
@@ -44,10 +44,10 @@ __all__ = [
     "SpectralPlan", "StabilityReport", "bdf2_reference_step", "biharmonic",
     "build_demag_kernel", "build_plan", "case_1d", "case_3d",
     "classify_stability", "demag_field", "demag_tensor_entry",
-    "dense_operator_matrix", "energy", "extrapolate", "field_norm",
-    "gspm1_step", "integrate", "laplacian", "laplacian_eigenvalues",
-    "local_field", "neel_wall_initial", "nondimensionalize", "norm_inf",
-    "norm_l2", "observed_order", "project", "run_space_convergence",
+    "dense_operator_matrix", "energy", "extrapolate", "gspm1_step",
+    "integrate", "laplacian", "laplacian_eigenvalues", "local_field",
+    "neel_wall_initial", "nondimensionalize", "norm_inf", "norm_l2",
+    "observed_order", "project", "run_space_convergence",
     "run_time_convergence", "run_wall_reference_convergence", "sample_scalar",
     "sample_vector", "scheme_a_step", "scheme_b_init", "scheme_b_step",
     "si2_step", "solve", "solve_dense_oracle", "stability_scan",

@@ -187,7 +187,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 
 def emit(record: RunRecord, out_dir: str, formats) -> list:
     """Write the record; returns the list of paths produced."""
-    gio.ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     formats = set(formats)
     paths = []
 

@@ -58,6 +58,11 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     """
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_STEPPERS)}")
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
+            or n_steps < 0):
+        raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if plan is None:
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]
@@ -197,19 +202,20 @@ def run_wall_reference_convergence(scheme: str, *, alpha: float = 0.01,
     return report.fit()
 
 
-def wall_reference_solution(grid: Grid, params: MaterialParams, t_final: float,
-                            ref_divisor: int, *, m0=None, plan=None,
-                            tol: float = 5e-14) -> np.ndarray:
-    """Fine-step coupled-BDF2 trajectory used as the 2D benchmark reference.
+# Krylov tolerance of the wall reference, well below the per-step default so
+# the accumulated solver noise (about ref_divisor * tol) stays under the
+# smallest errors being measured against the reference
+WALL_REFERENCE_TOL = 5e-14
 
-    The Krylov tolerance is tightened well below the per-step default so the
-    accumulated solver noise (about ref_divisor * tol) stays under the
-    smallest errors being measured against this reference.
-    """
+
+def wall_reference_solution(grid: Grid, params: MaterialParams, t_final: float,
+                            ref_divisor: int, *, m0=None, plan=None) -> np.ndarray:
+    """Fine-step coupled-BDF2 trajectory used as the 2D benchmark reference,
+    solved to the Krylov tolerance WALL_REFERENCE_TOL."""
     if m0 is None:
         m0 = sample_vector(grid, neel_wall_initial(eta=grid.hx))
     res = integrate("bdf2-ref", m0, grid, params, t_final / ref_divisor,
-                    ref_divisor, plan=plan, step_kwargs={"tol": tol})
+                    ref_divisor, plan=plan, step_kwargs={"tol": WALL_REFERENCE_TOL})
     return res.state.m_curr
 
 

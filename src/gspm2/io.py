@@ -9,7 +9,6 @@ to their own CSV.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -33,8 +32,7 @@ def write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing,
-                                name: str = "m", title: str = "magnetization snapshot"):
+def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing):
     """Legacy-VTK STRUCTURED_POINTS file with one 3-vector per cell center.
 
     m has shape (3, nx, ny, nz); points are emitted x-fastest as the format
@@ -47,18 +45,13 @@ def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing,
     vectors = m.transpose(3, 2, 1, 0).reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("magnetization snapshot\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
         fh.write("ORIGIN {!r} {!r} {!r}\n".format(*[float(v) for v in origin]))
         fh.write("SPACING {!r} {!r} {!r}\n".format(*[float(v) for v in spacing]))
         fh.write(f"POINT_DATA {nx * ny * nz}\n")
-        fh.write(f"VECTORS {name} double\n")
+        fh.write("VECTORS m double\n")
         for vx, vy, vz in vectors:
             fh.write(f"{float(vx)!r} {float(vy)!r} {float(vz)!r}\n")
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -34,7 +34,7 @@ class Grid:
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
         for name in ("lx", "ly", "lz"):
             length = getattr(self, name)
@@ -192,11 +192,3 @@ def norm_l2(grid: Grid, field: np.ndarray) -> float:
     """
     mag = pointwise_magnitude(field)
     return float(np.sqrt((mag * mag).sum() * grid.cell_volume))
-
-
-def field_norm(grid: Grid, field: np.ndarray, kind: str) -> float:
-    if kind == "inf":
-        return norm_inf(field)
-    if kind == "l2":
-        return norm_l2(grid, field)
-    raise ValueError(f"unknown norm kind {kind!r} (expected 'inf' or 'l2')")

@@ -54,6 +54,15 @@ class MaterialParams:
     stray_enabled: bool = False
 
     def __post_init__(self):
+        # any truthy stray_enabled would switch the stray field on, and a bool
+        # is an int to Python, so a flag in a coefficient's place would pass
+        # the range checks below
+        if not isinstance(self.stray_enabled, (bool, np.bool_)):
+            raise ValueError(f"stray_enabled must be a bool, got {self.stray_enabled!r}")
+        for name, value in (("eps", self.eps), ("alpha", self.alpha), ("q", self.q),
+                            *(("h_ext entry", c) for c in self.h_ext)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps!r}")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
@@ -77,10 +86,9 @@ class PhysicalConstants:
     Ku: float       # uniaxial anisotropy constant, J/m^3
     gamma: float    # gyromagnetic ratio, 1/(T s)
     L: float        # rescaling length, m
-    mu0: float = MU0
 
     def __post_init__(self):
-        for name in ("A", "Ms", "Ku", "gamma", "L", "mu0"):
+        for name in ("A", "Ms", "Ku", "gamma", "L"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
@@ -92,10 +100,10 @@ def nondimensionalize(pc: PhysicalConstants) -> tuple:
     eps = 2A/(mu0 Ms^2 L^2), q = 2Ku/(mu0 Ms^2); one dimensionless time unit
     is 1/(mu0 Ms gamma) seconds.
     """
-    denom = pc.mu0 * pc.Ms ** 2
+    denom = MU0 * pc.Ms ** 2
     eps = 2.0 * pc.A / (denom * pc.L ** 2)
     q = 2.0 * pc.Ku / denom
-    time_unit = 1.0 / (pc.mu0 * pc.Ms * pc.gamma)
+    time_unit = 1.0 / (MU0 * pc.Ms * pc.gamma)
     return eps, q, time_unit
 
 

@@ -7,30 +7,37 @@ operator L = I - eps*dt*Lap + (eps*dt)^2*Lap^2 (the dt^2-biharmonic term is
 what lifts the auxiliary-field approximation of Lap(m) to second order), and a
 final pointwise projection onto the unit sphere.
 
-The three Gauss-Seidel methods share one sweep, `_gauss_seidel_sweep`. Row
-i = 1, 2, 3 (with j, k the next two, cyclically) computes
+Four split methods share one sweep, `_gauss_seidel_sweep`. Row i = 1, 2, 3
+(with j, k the next two, cyclically) computes
 
     m_i* = w [base_i - (h_j g_k - h_k g_j) - alpha (h.g) h_i + alpha |h|^2 g_i
-              + dt src_i],
+              + dt src_i].
 
-refreshes the slot h_i from m_i* and re-solves g_i = L^(-1)(h_i + dt f_i), so
-that the later rows see the update; after row 3 only when a solve follows it.
-The steppers differ only in what they pass:
+In the first `refreshed` rows the sweep then refreshes the slot h_i from m_i*
+and re-solves g_i = L^(-1)(h_i + dt f_i), so that the later rows see the
+update. That count is the Gauss-Seidel structure; the steppers differ only in
+it and in what they pass:
 
 - `gspm1_step`, first order, five solves with the heat operator
-  L = I - eps*dt*Lap: base = h = m^n, w = 1, slot h_i = m_i*, g solved from
-  m^n. Only m_curr is consumed, so it also bootstraps the two-level methods.
-- `scheme_a_step`, five solves, unconditionally stable in practice:
-  base = 2 m^n - m^(n-1)/2, h = m_hat, w = 2/3, slot h_i = 2 m_i* - 2 m_i^n +
-  m_i^(n-1) (second order at t_(n+1), as m_hat is), g solved from m_hat.
+  L = I - eps*dt*Lap, 2 refreshed rows: base = h = m^n, w = 1, slot
+  h_i = m_i*, g solved from m^n. Only m_curr is consumed, so it also
+  bootstraps the two-level methods.
+- `si2_step`, the plain second-order baseline, three solves, no refreshed
+  row: base = 2 m^n - m^(n-1)/2, h = m_hat, w = 2/3, g solved from m_hat.
+  Every row sees the same h and g, so the update is one BDF2 step with the
+  torque frozen at m_hat, parabolically CFL-limited.
+- `scheme_a_step`, five solves, unconditionally stable in practice: as si2
+  with 2 refreshed rows, slot h_i = 2 m_i* - 2 m_i^n + m_i^(n-1) (second
+  order at t_(n+1), as m_hat is).
 - `scheme_b_step`, three solves, CFL constant near 0.25: as scheme-a, but g
-  is lagged from the previous step and a solve q_3 follows row 3. By
-  linearity of L the next step's g, L^(-1)(2 m^(n+1) - m^n + dt f), is q + d
-  with d = L^(-1)(m^n - m^(n-1)) carried alongside, and the next d is
-  (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0.
+  is lagged from the previous step and all 3 rows are refreshed, so a solve
+  q_3 follows row 3. By linearity of L the next step's g,
+  L^(-1)(2 m^(n+1) - m^n + dt f), is q + d with d = L^(-1)(m^n - m^(n-1))
+  carried alongside, and the next d is (q + 2 d - g) / 2. `scheme_b_init`
+  builds g^0 and d^0.
 
-`si2_step` is the plain non-Gauss-Seidel baseline and `bdf2_reference_step` a
-fully coupled semi-implicit solve used as a reference integrator.
+`bdf2_reference_step` is a fully coupled semi-implicit solve used as a
+reference integrator.
 
 The pointwise field f(m) (anisotropy, applied, stray) enters each step once,
 at the extrapolated state, and is never refreshed inside the Gauss-Seidel
@@ -203,10 +210,11 @@ def _second_order_solver(state: SchemeState, params: MaterialParams,
 
 def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
                         src: np.ndarray | None, dt: float, *, bdf2: bool,
-                        solve_last: bool = False):
+                        refreshed: int):
     """The cyclic row update of the module docstring; returns m* and the final
     auxiliary fields. bdf2 selects base 2 m^n - m^(n-1)/2, the 2/3 weight and
-    the second-order slot refresh; otherwise base is m^n and the slot m_i*."""
+    the second-order slot refresh; otherwise base is m^n and the slot m_i*.
+    The first `refreshed` rows are each followed by a re-solve."""
     mp, mc = state.m_prev, state.m_curr
     base = 2.0 * mc - 0.5 * mp if bdf2 else mc
     h, g, rows = list(h), list(g), []
@@ -220,7 +228,7 @@ def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
         if bdf2:
             m_i *= 2.0 / 3.0
         rows.append(m_i)
-        if i < 2 or solve_last:
+        if i < refreshed:
             h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if bdf2 else m_i
             g[i] = solve(h[i], i)
     return np.stack(rows), g
@@ -236,7 +244,7 @@ def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectr
     solve = _solver(plan, params.eps * dt, 0.0,
                     _field_of(params, m, state.hs_curr), dt)
     m_star, _ = _gauss_seidel_sweep(state, m, solve(m), solve, params.alpha, src,
-                                    dt, bdf2=False)
+                                    dt, bdf2=False, refreshed=2)
     return _finish(state, m_star, dt, f"first-order step {state.step_index}",
                    params, kernel)
 
@@ -246,26 +254,15 @@ def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.Spectral
              source=None) -> SchemeState:
     """Plain second-order step: three biharmonic-type solves, one BDF2 update.
 
-    No Gauss-Seidel refresh; this is the baseline whose stability the
-    five-solve variant improves on. The damping triple product is expanded as
-    (m_hat . G) m_hat - |m_hat|^2 G since |m_hat| differs from 1.
+    The sweep with no refreshed row; this is the baseline whose stability the
+    five-solve variant improves on.
     """
     state = with_stray_field(state, params, kernel)
-    m_hat, solve = _second_order_solver(state, params, plan, dt)
-    m_star = solve(m_hat)
     src = _source_of(source, plan.grid, state.t + dt)
-
-    G = m_star - m_hat
-    cross = np.cross(m_hat, G, axis=0)
-    dot = (m_hat * G).sum(axis=0)
-    hat2 = (m_hat * m_hat).sum(axis=0)
-    m_tilde = (2.0 * state.m_curr - 0.5 * state.m_prev
-               - cross - params.alpha * (dot * m_hat - hat2 * G))
-    if src is not None:
-        m_tilde += dt * src
-    m_tilde *= 2.0 / 3.0
-
-    return _finish(state, m_tilde, dt, f"plain second-order step {state.step_index}",
+    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    m_star, _ = _gauss_seidel_sweep(state, m_hat, solve(m_hat), solve,
+                                    params.alpha, src, dt, bdf2=True, refreshed=0)
+    return _finish(state, m_star, dt, f"plain second-order step {state.step_index}",
                    params, kernel)
 
 
@@ -277,7 +274,7 @@ def scheme_a_step(state: SchemeState, params: MaterialParams,
     src = _source_of(source, plan.grid, state.t + dt)
     m_hat, solve = _second_order_solver(state, params, plan, dt)
     m_star, _ = _gauss_seidel_sweep(state, m_hat, solve(m_hat), solve,
-                                    params.alpha, src, dt, bdf2=True)
+                                    params.alpha, src, dt, bdf2=True, refreshed=2)
     return _finish(state, m_star, dt, f"five-solve step {state.step_index}",
                    params, kernel)
 
@@ -312,7 +309,7 @@ def scheme_b_step(state: SchemeState, params: MaterialParams,
     src = _source_of(source, plan.grid, state.t + dt)
     m_hat, solve = _second_order_solver(state, params, plan, dt)
     m_star, q = _gauss_seidel_sweep(state, m_hat, state.g_prev, solve, params.alpha,
-                                    src, dt, bdf2=True, solve_last=True)
+                                    src, dt, bdf2=True, refreshed=3)
     q = np.stack(q)
     return _finish(state, m_star, dt, f"three-solve step {state.step_index}",
                    params, kernel, g_prev=q + state.d_prev,

@@ -92,14 +92,17 @@ def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.nda
     return plan.inverse(plan.forward(f) / sym)
 
 
-def dense_operator_matrix(grid: Grid, a: float, b: float = 0.0, max_cells: int = 4096) -> np.ndarray:
+DENSE_MAX_CELLS = 4096
+
+
+def dense_operator_matrix(grid: Grid, a: float, b: float = 0.0) -> np.ndarray:
     """Assemble the dense matrix of (I - a*Lap + b*Lap^2) column by column.
 
     Small grids only; used as the direct-solve oracle for the spectral path.
     """
     n = grid.n_cells
-    if n > max_cells:
-        raise ValueError(f"grid has {n} cells, dense assembly capped at {max_cells}")
+    if n > DENSE_MAX_CELLS:
+        raise ValueError(f"grid has {n} cells, dense assembly capped at {DENSE_MAX_CELLS}")
     A = np.empty((n, n))
     e = np.zeros(grid.shape)
     for col in range(n):
@@ -110,9 +113,8 @@ def dense_operator_matrix(grid: Grid, a: float, b: float = 0.0, max_cells: int =
     return A
 
 
-def solve_dense_oracle(grid: Grid, f: np.ndarray, a: float, b: float = 0.0,
-                       max_cells: int = 4096) -> np.ndarray:
+def solve_dense_oracle(grid: Grid, f: np.ndarray, a: float, b: float = 0.0) -> np.ndarray:
     """Direct dense solve of the same operator (test oracle, small grids)."""
-    A = dense_operator_matrix(grid, a, b, max_cells=max_cells)
+    A = dense_operator_matrix(grid, a, b)
     u = np.linalg.solve(A, np.asarray(f, dtype=float).ravel())
     return u.reshape(grid.shape)

@@ -10,6 +10,8 @@ CPU it was made on. To regenerate it, check out the commit whose outputs are
 the reference and run, from the repo root,
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints each digest that differs from the fixture it overwrites.
 """
 
 import hashlib
@@ -98,8 +100,38 @@ def test_outputs_byte_identical_to_fixture(golden, name):
     assert _digests(name) == golden[name]
 
 
+def test_changes_names_each_differing_digest():
+    old = {"x": {"a.csv": "0" * 64, "b.json": "1" * 64}}
+    new = {"x": {"a.csv": "0" * 64, "b.json": "2" * 64}, "y": {"c.vtk": "3" * 64}}
+    assert changes(old, new) == ["x/b.json: 111111111111 -> 222222222222",
+                                 "y/c.vtk: absent -> 333333333333"]
+
+
+def changes(old, new):
+    """One line per config/file whose digest differs between two tables,
+    with the first 12 hex digits of each."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name, {}), new.get(name, {})
+        for base in sorted(set(before) | set(after)):
+            if before.get(base) != after.get(base):
+                lines.append(f"{name}/{base}: {before.get(base, 'absent')[:12]} "
+                             f"-> {after.get(base, 'absent')[:12]}")
+    return lines
+
+
 def regenerate(path=FIXTURE):
+    """Overwrite the fixture; print each digest that differs from the old one."""
     table = {name: _digests(name) for name in sorted(CONFIGS)}
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    lines = changes(old, table)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {sum(map(len, table.values()))} digests differ "
+          f"from the old fixture")
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gspm2.convergence import (ConvergenceReport, observed_order,
+from gspm2.convergence import (ConvergenceReport, integrate, observed_order,
                                run_time_convergence, stability_scan)
 from gspm2.manufactured import case_1d
+from gspm2.mesh import Grid
+from gspm2.physics import MaterialParams
 
 
 class TestObservedOrder:
@@ -35,6 +37,31 @@ class TestObservedOrder:
             observed_order([(0.1, 1e-3), (0.05, 0.0)])
         with pytest.raises(ValueError):
             observed_order([(0.1, 1e-3), (-0.05, 1e-4)])
+
+
+class TestIntegrateArguments:
+    @staticmethod
+    def run(dt, n_steps):
+        grid = Grid.line(8)
+        m0 = np.zeros((3,) + grid.shape)
+        m0[2] = 1.0
+        return integrate("scheme-a", m0, grid, MaterialParams(eps=1.0, alpha=0.1),
+                         dt, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [-4, True, 2.0, "3", None])
+    def test_step_count_must_be_a_nonnegative_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            self.run(1e-3, n_steps)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_step_size_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            self.run(dt, 3)
+
+    def test_valid_arguments(self):
+        assert self.run(1e-3, 0).n_steps == 0
+        res = self.run(1e-3, np.int64(3))
+        assert res.n_steps == 3 and np.isclose(res.state.t, 3e-3)
 
 
 class TestReports:

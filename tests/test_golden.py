@@ -12,6 +12,9 @@ the CPU it was made on. To regenerate it, check out the commit whose results
 are the reference and run, from the repo root,
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each entry that differs from the fixture it overwrites, with the
+largest absolute difference.
 """
 
 import os
@@ -89,11 +92,43 @@ def test_bitwise_equal_to_fixture(golden, scheme, family):
         assert np.array_equal(value, golden[key]), key
 
 
+def test_changes_names_each_differing_entry():
+    old = {"a": np.zeros(2), "b": np.ones(2), "c": np.zeros(1), "s": np.zeros(2)}
+    new = {"a": np.array([0.0, 1e-15]), "b": np.ones(2), "d": np.zeros(1),
+           "s": np.zeros(3)}
+    assert changes(old, new) == ["a: max abs difference 1e-15", "c: removed",
+                                 "d: added", "s: shape (2,) -> (3,)"]
+
+
+def changes(old, new):
+    """One line per entry that differs between two {key: array} tables, with
+    the largest absolute difference where the shapes agree."""
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in new or key not in old:
+            lines.append(f"{key}: {'removed' if key in old else 'added'}")
+        elif old[key].shape != new[key].shape:
+            lines.append(f"{key}: shape {old[key].shape} -> {new[key].shape}")
+        elif not np.array_equal(old[key], new[key]):
+            diff = np.abs(new[key].astype(float) - old[key].astype(float)).max()
+            lines.append(f"{key}: max abs difference {diff:.3g}")
+    return lines
+
+
 def regenerate(path=FIXTURE):
+    """Overwrite the fixture; print each entry that differs from the old one."""
     arrays = {}
     for family in FAMILIES:
         for scheme in SCHEMES:
             arrays.update(_run(scheme, family))
+    old = {}
+    if os.path.exists(path):
+        with np.load(path) as data:
+            old = dict(data)
+    lines = changes(old, arrays)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(arrays)} entries differ from the old fixture")
     os.makedirs(os.path.dirname(path), exist_ok=True)
     np.savez_compressed(path, **arrays)
     return path

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gspm2.mesh import (Grid, biharmonic, field_norm, laplacian, norm_inf,
-                        norm_l2, sample_scalar, sample_vector)
+from gspm2.mesh import (Grid, biharmonic, laplacian, norm_inf, norm_l2,
+                        sample_scalar, sample_vector)
 
 
 def dense_laplacian_matrix(grid):
@@ -58,6 +58,9 @@ class TestGrid:
         dict(nx=0, ny=1, nz=1, lx=1.0, ly=1.0, lz=1.0),
         dict(nx=2, ny=1, nz=1, lx=-1.0, ly=1.0, lz=1.0),
         dict(nx=2, ny=1, nz=1, lx=np.inf, ly=1.0, lz=1.0),
+        # a bool is an int to Python: Grid.line(True) would build one cell
+        dict(nx=True, ny=1, nz=1, lx=1.0, ly=1.0, lz=1.0),
+        dict(nx=2, ny=True, nz=2, lx=1.0, ly=1.0, lz=1.0),
     ])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):
@@ -192,10 +195,4 @@ class TestNorms:
         g = Grid(1, 1, 1, 1.0, 1.0, 1.0)
         u = np.full(g.shape, 2.0)
         assert norm_l2(g, u) == 2.0
-        assert field_norm(g, u, "l2") == 2.0
-        assert field_norm(g, u, "inf") == 2.0
-
-    def test_unknown_kind(self):
-        g = Grid.line(2)
-        with pytest.raises(ValueError):
-            field_norm(g, np.zeros(g.shape), "h1")
+        assert norm_inf(u) == 2.0

@@ -50,6 +50,21 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             MaterialParams(eps=1.0, alpha=0.1, h_ext=(0.0, np.nan, 0.0))
 
+    @pytest.mark.parametrize("change", [
+        dict(stray_enabled="no"), dict(stray_enabled=1), dict(stray_enabled=None),
+        dict(eps=True), dict(alpha=True), dict(q=np.True_),
+        dict(h_ext=(0.0, True, 0.0)),
+    ], ids=["stray-string", "stray-int", "stray-none", "eps-bool", "alpha-bool",
+            "q-numpy-bool", "h_ext-bool"])
+    def test_flags_and_coefficients_are_not_interchangeable(self, change):
+        # a truthy non-bool stray_enabled would switch the stray field on
+        with pytest.raises(ValueError):
+            MaterialParams(**dict(dict(eps=1.0, alpha=0.1), **change))
+
+    def test_numpy_bool_switches_the_stray_field(self):
+        params = MaterialParams(eps=1.0, alpha=0.1, stray_enabled=np.True_)
+        assert params.has_local_field
+
     def test_has_local_field(self):
         assert not MaterialParams(eps=1.0, alpha=0.1).has_local_field
         assert MaterialParams(eps=1.0, alpha=0.1, q=0.5).has_local_field

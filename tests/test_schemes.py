@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gspm2 import physics, schemes
+from gspm2 import physics, schemes, spectral
 from gspm2.convergence import integrate, observed_order
 from gspm2.manufactured import case_1d
 from gspm2.mesh import Grid, norm_inf, sample_vector
@@ -129,6 +129,56 @@ def stray_film():
     params = MaterialParams(eps=0.05, alpha=0.1, q=0.3, h_ext=(0.0, 0.1, 0.0),
                             stray_enabled=True)
     return grid, params, build_demag_kernel(grid)
+
+
+class TestPlainStepIsTheUnrefreshedSweep:
+    """si2 is the shared sweep with no refreshed row. It must equal, to
+    rounding, the plain BDF2 update written out on its own with the expanded
+    damping triple product (m_hat.G) m_hat - |m_hat|^2 G, G = g - m_hat; the
+    two agree because m_hat x (g - m_hat) = m_hat x g."""
+
+    @staticmethod
+    def oracle(state, params, plan, dt, stray=None, source=None):
+        m_hat = 2.0 * state.m_curr - state.m_prev
+        a = params.eps * dt
+        phi = physics.local_field(params, m_hat, stray=stray)
+        G = spectral.solve(plan, m_hat + dt * phi, a, a * a) - m_hat
+        dot = (m_hat * G).sum(axis=0)
+        hat2 = (m_hat * m_hat).sum(axis=0)
+        m_tilde = (2.0 * state.m_curr - 0.5 * state.m_prev
+                   - np.cross(m_hat, G, axis=0)
+                   - params.alpha * (dot * m_hat - hat2 * G))
+        if source is not None:
+            m_tilde += dt * np.stack(source(*plan.grid.centers, state.t + dt))
+        return project(2.0 / 3.0 * m_tilde)
+
+    def test_local_field_and_source(self):
+        grid = Grid(7, 5, 3, 1.0, 0.7, 0.4)
+        plan = build_plan(grid)
+        params = MaterialParams(eps=0.8, alpha=0.3, q=1.5, h_ext=(0.2, -0.4, 0.1))
+
+        def source(X, Y, Z, t):
+            return (np.sin(3 * X + t), np.cos(2 * Y) * Z, X * Y - t)
+
+        st = SchemeState(m_prev=random_unit_field(grid, 51),
+                         m_curr=random_unit_field(grid, 52), t=0.1, step_index=1)
+        assert unit_length_deviation(extrapolate(st.m_prev, st.m_curr)) > 0.5
+        dt = 2e-3
+        got = si2_step(st, params, plan, dt, source=source).m_curr
+        assert np.abs(got - self.oracle(st, params, plan, dt,
+                                        source=source)).max() <= 1e-14
+
+    def test_stray_film(self):
+        grid, params, kernel = stray_film()
+        plan = build_plan(grid)
+        st = schemes.with_stray_field(
+            SchemeState(m_prev=random_unit_field(grid, 53),
+                        m_curr=random_unit_field(grid, 54)), params, kernel)
+        dt = 1e-3
+        got = si2_step(st, params, plan, dt, kernel=kernel).m_curr
+        want = self.oracle(st, params, plan, dt,
+                           stray=2.0 * st.hs_curr - st.hs_prev)
+        assert np.abs(got - want).max() <= 1e-14
 
 
 class TestCarriedStrayField:
