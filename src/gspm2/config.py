@@ -267,6 +267,11 @@ class ExperimentConfig:
         # an order is fitted from at least two runs
         self._positive_list("dt_list", "dx_list", "dt_divisors", min_len=2)
         self._positive_list("h_list", "domain", "cfl_bracket")
+        # each divisor is also a run's step count; bools fail the check above
+        if self.dt_divisors is not None and not all(isinstance(v, int)
+                                                    for v in self.dt_divisors):
+            raise ConfigError(f"dt_divisors must be a list of integers >= 1, "
+                              f"got {self.dt_divisors!r}")
         if self.grid is not None:
             if (not isinstance(self.grid, (list, tuple)) or len(self.grid) != 3
                     or any(isinstance(n, bool) or not isinstance(n, int) or n < 1

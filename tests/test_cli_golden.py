@@ -5,8 +5,8 @@ One small config per run kind and scheme goes through `cli.run` and
 report.json, energy.csv, errors.csv and the VTK files) must equal the stored
 one. timing.csv holds wall times and is never pinned.
 
-The fixture `data/golden_cli.json` is tied to the numpy/scipy builds and the
-CPU it was made on. To regenerate it, check out the commit whose outputs are
+The fixture `data/golden_cli.json` is tied to the numpy/scipy builds, the
+BLAS build and the CPU it was made on. To regenerate it, check out the commit whose outputs are
 the reference and run, from the repo root,
 
     PYTHONPATH=src python tests/test_cli_golden.py

@@ -7,7 +7,8 @@ carried fields (g_prev, d_prev, hs_prev, hs_curr, where a run has them) and
 the solve count must equal the stored ones exactly, so a refactor of the
 integrators that changes a single rounding fails here.
 
-The fixture `data/golden_schemes.npz` is tied to the numpy/scipy builds and
+The fixture `data/golden_schemes.npz` is tied to the numpy/scipy builds, the
+BLAS build (the spectral solves transform short axes by matrix products) and
 the CPU it was made on. To regenerate it, check out the commit whose results
 are the reference and run, from the repo root,
 

@@ -130,6 +130,9 @@ class TestConfigValidation:
         ("solve", {"n_steps": 0}), ("solve", {"n_steps": True}),
         ("stability", {"rounds": 2.5}), ("stability", {"rounds": 0}),
         ("converge-2d", {"ref_divisor": 2.5}),
+        # the divisors are step counts too
+        ("converge-2d", {"dt_divisors": [4.5, 9]}),
+        ("converge-2d", {"dt_divisors": [4.0, 8.0]}),
         ("solve", {"snapshot_every": -1}), ("solve", {"snapshot_every": 1.5}),
         ("solve", {"seed": "x"}), ("solve", {"seed": 1.5}),
         ("micromag", {"t_final_seconds": 1e-13}),

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from gspm2.mesh import Grid, laplacian
-from gspm2.spectral import (build_plan, dense_operator_matrix,
-                            laplacian_eigenvalues, solve, solve_dense_oracle)
+from gspm2.spectral import (DENSE_AXIS_MAX, build_plan, dct_matrix,
+                            dense_operator_matrix, laplacian_eigenvalues, solve,
+                            solve_dense_oracle)
+
+# an axis at the dense-transform limit and one just beyond it, alone and mixed
+D, P = DENSE_AXIS_MAX, DENSE_AXIS_MAX + 1
+DENSE_LIMIT_SHAPES = [(D, 1, 1), (P, 1, 1), (1, D, 1), (1, 1, P), (P, 5, 1),
+                      (3, 1, P + 1), (D, 3, 2), (2, P, 3)]
 
 
 class TestEigenvalues:
@@ -49,6 +56,28 @@ class TestTransform:
         lhs = plan.forward(laplacian(g, u))
         rhs = plan.lam * plan.forward(u)
         assert np.abs(lhs - rhs).max() < 1e-11
+
+
+class TestDenseTransform:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, D, P, 256])
+    def test_matrix_is_scipy_dct(self, n):
+        want = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
+        assert np.abs(dct_matrix(n) - want).max() <= 1e-15
+
+    def test_matrix_is_cached_and_read_only(self):
+        C = dct_matrix(7)
+        assert dct_matrix(7) is C
+        assert not C.flags.writeable
+
+    @pytest.mark.parametrize("shape", DENSE_LIMIT_SHAPES)
+    def test_matches_scipy_dctn(self, shape):
+        plan = build_plan(Grid(*shape, 1.0, 0.8, 0.6))
+        axes = tuple(ax - 3 for ax, n in enumerate(shape) if n > 1)
+        u = np.random.default_rng(8).standard_normal((3,) + shape)
+        for got, want in [
+                (plan.forward(u), scipy.fft.dctn(u, norm="ortho", axes=axes)),
+                (plan.inverse(u), scipy.fft.idctn(u, norm="ortho", axes=axes))]:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestSolve:
@@ -108,7 +137,8 @@ class TestSolve:
     # (3, 1, 1): three components over three cells; the component axis is
     # not a grid axis, even where the lengths agree
     @pytest.mark.parametrize("shape", [(3, 1, 1), (7, 1, 1), (1, 5, 1), (6, 5, 1),
-                                       (1, 4, 3), (5, 4, 3), (4, 4, 4), (8, 3, 2)])
+                                       (1, 4, 3), (5, 4, 3), (4, 4, 4), (8, 3, 2)]
+                             + DENSE_LIMIT_SHAPES)
     def test_stack_equals_per_component(self, shape):
         plan = build_plan(Grid(*shape, 1.0, 0.8, 0.6))
         f = np.random.default_rng(7).standard_normal((3,) + shape)
