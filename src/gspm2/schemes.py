@@ -7,34 +7,40 @@ operator L = I - eps*dt*Lap + (eps*dt)^2*Lap^2 (the dt^2-biharmonic term is
 what lifts the auxiliary-field approximation of Lap(m) to second order), and a
 final pointwise projection onto the unit sphere.
 
-Four split methods share one sweep, `_gauss_seidel_sweep`. Row i = 1, 2, 3
-(with j, k the next two, cyclically) computes
+The four split methods are one step body, `split_step`, that reads a
+`SplitScheme` row. Row i = 1, 2, 3 of its sweep (with j, k the next two,
+cyclically) computes
 
     m_i* = w [base_i - (h_j g_k - h_k g_j) - alpha (h.g) h_i + alpha |h|^2 g_i
               + dt src_i].
 
 In the first `refreshed` rows the sweep then refreshes the slot h_i from m_i*
 and re-solves g_i = L^(-1)(h_i + dt f_i), so that the later rows see the
-update. That count is the Gauss-Seidel structure; the steppers differ only in
-it and in what they pass:
+update. That count is the Gauss-Seidel structure. A `bdf2` row has
+base = 2 m^n - m^(n-1)/2, h = m_hat, w = 2/3, the biharmonic-type L and the
+slot h_i = 2 m_i* - 2 m_i^n + m_i^(n-1) (second order at t_(n+1), as m_hat
+is); otherwise base = h = m^n, w = 1, the heat operator L = I - eps*dt*Lap
+and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
+`lagged`.
 
-- `gspm1_step`, first order, five solves with the heat operator
-  L = I - eps*dt*Lap, 2 refreshed rows: base = h = m^n, w = 1, slot
-  h_i = m_i*, g solved from m^n. Only m_curr is consumed, so it also
-  bootstraps the two-level methods.
-- `si2_step`, the plain second-order baseline, three solves, no refreshed
-  row: base = 2 m^n - m^(n-1)/2, h = m_hat, w = 2/3, g solved from m_hat.
-  Every row sees the same h and g, so the update is one BDF2 step with the
-  torque frozen at m_hat, parabolically CFL-limited.
-- `scheme_a_step`, five solves, unconditionally stable in practice: as si2
-  with 2 refreshed rows, slot h_i = 2 m_i* - 2 m_i^n + m_i^(n-1) (second
-  order at t_(n+1), as m_hat is).
-- `scheme_b_step`, three solves, CFL constant near 0.25: as scheme-a, but g
-  is lagged from the previous step and all 3 rows are refreshed, so a solve
-  q_3 follows row 3. By linearity of L the next step's g,
-  L^(-1)(2 m^(n+1) - m^n + dt f), is q + d with d = L^(-1)(m^n - m^(n-1))
-  carried alongside, and the next d is (q + 2 d - g) / 2. `scheme_b_init`
-  builds g^0 and d^0.
+    row        stepper        bdf2   refreshed  lagged  solves
+    GSPM1      gspm1_step     no     2          no      5
+    SI2        si2_step       yes    0          no      3
+    SCHEME_A   scheme_a_step  yes    2          no      5
+    SCHEME_B   scheme_b_step  yes    3          yes     3
+
+- GSPM1 is first order. Only m_curr is consumed, so it also bootstraps the
+  two-level methods.
+- SI2 is the plain second-order baseline: every row sees the same h and g,
+  so the update is one BDF2 step with the torque frozen at m_hat,
+  parabolically CFL-limited.
+- SCHEME_A is meant to be unconditionally stable. Its linearised map is not
+  about every uniform state; tests/test_stability_map.py pins the radius.
+- SCHEME_B has a CFL constant near 0.25. Its g is lagged from the previous
+  step, and the refresh of row 3 adds a solve q_3. By linearity of L the
+  next step's g, L^(-1)(2 m^(n+1) - m^n + dt f), is q + d with
+  d = L^(-1)(m^n - m^(n-1)) carried alongside, and the next d is
+  (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0.
 
 `bdf2_reference_step` is a fully coupled semi-implicit solve used as a
 reference integrator.
@@ -155,18 +161,17 @@ def with_stray_field(state: SchemeState, params: MaterialParams,
     return replace(state, hs_prev=hs_prev, hs_curr=hs_curr)
 
 
-def _field_of(params: MaterialParams, m: np.ndarray,
-              stray: np.ndarray | None) -> np.ndarray | None:
-    return local_field(params, m, stray=stray) if params.has_local_field else None
-
-
-def _field_at_hat(state: SchemeState, params: MaterialParams,
-                  m_hat: np.ndarray) -> np.ndarray | None:
-    """f(m_hat), its stray part 2 h_s(m^n) - h_s(m^(n-1)) from the carried pair."""
-    stray = None
-    if state.hs_curr is not None:
-        stray = 2.0 * state.hs_curr - state.hs_prev
-    return _field_of(params, m_hat, stray)
+def _frozen_field(state: SchemeState, params: MaterialParams,
+                  bdf2: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """h, the state the step freezes f at (m_hat for a second-order step, m^n
+    otherwise), and f(h), None without a local field. The stray part of
+    f(m_hat) is 2 h_s(m^n) - h_s(m^(n-1)), from the carried pair."""
+    if bdf2:
+        h = extrapolate(state.m_prev, state.m_curr)
+        stray = None if state.hs_curr is None else 2.0 * state.hs_curr - state.hs_prev
+    else:
+        h, stray = state.m_curr, state.hs_curr
+    return h, local_field(params, h, stray=stray) if params.has_local_field else None
 
 
 def _source_of(source, grid, t: float) -> np.ndarray | None:
@@ -188,36 +193,44 @@ def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
                        d_prev=d_prev, hs_prev=state.hs_curr, hs_curr=hs_next)
 
 
-def _solver(plan: spectral.SpectralPlan, a: float, b: float,
-            phi: np.ndarray | None, dt: float):
-    """solve(x, i) = L^(-1)(x + dt f_i) with L = I - a*Lap + b*Lap^2 and f the
-    step's frozen field phi (None: no local field); x is component i, or by
-    default all three."""
+@dataclass(frozen=True)
+class SplitScheme:
+    """One row of the split-step table in the module docstring; `name` labels
+    the step in blow-up messages."""
 
-    def solve(x, i=...):
-        return spectral.solve(plan, x if phi is None else x + dt * phi[i], a, b)
+    name: str
+    bdf2: bool
+    refreshed: int
+    lagged: bool
 
-    return solve
+
+GSPM1 = SplitScheme("first-order", bdf2=False, refreshed=2, lagged=False)
+SI2 = SplitScheme("plain second-order", bdf2=True, refreshed=0, lagged=False)
+SCHEME_A = SplitScheme("five-solve", bdf2=True, refreshed=2, lagged=False)
+SCHEME_B = SplitScheme("three-solve", bdf2=True, refreshed=3, lagged=True)
 
 
-def _second_order_solver(state: SchemeState, params: MaterialParams,
-                         plan: spectral.SpectralPlan, dt: float):
-    """m_hat and the solve of the second-order steps, with f(m_hat)."""
-    m_hat = extrapolate(state.m_prev, state.m_curr)
+def split_step(state: SchemeState, params: MaterialParams,
+               plan: spectral.SpectralPlan, dt: float, scheme: SplitScheme, *,
+               kernel: DemagKernel | None, source) -> SchemeState:
+    """One step of the split scheme `scheme`: the cyclic row sweep of the
+    module docstring, then the projection."""
+    if scheme.lagged and (state.g_prev is None or state.d_prev is None):
+        raise ValueError(f"{scheme.name} scheme requires scheme_b_init() first")
+    state = with_stray_field(state, params, kernel)
+    src = _source_of(source, plan.grid, state.t + dt)
+    h, f = _frozen_field(state, params, scheme.bdf2)
     a = params.eps * dt
-    return m_hat, _solver(plan, a, a * a, _field_at_hat(state, params, m_hat), dt)
+    b = a * a if scheme.bdf2 else 0.0
 
+    def solve(x, i):
+        """L^(-1)(x + dt f_i); i = ... solves all three components."""
+        return spectral.solve(plan, x if f is None else x + dt * f[i], a, b)
 
-def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
-                        src: np.ndarray | None, dt: float, *, bdf2: bool,
-                        refreshed: int):
-    """The cyclic row update of the module docstring; returns m* and the final
-    auxiliary fields. bdf2 selects base 2 m^n - m^(n-1)/2, the 2/3 weight and
-    the second-order slot refresh; otherwise base is m^n and the slot m_i*.
-    The first `refreshed` rows are each followed by a re-solve."""
-    mp, mc = state.m_prev, state.m_curr
-    base = 2.0 * mc - 0.5 * mp if bdf2 else mc
-    h, g, rows = list(h), list(g), []
+    mp, mc, alpha = state.m_prev, state.m_curr, params.alpha
+    base = 2.0 * mc - 0.5 * mp if scheme.bdf2 else mc
+    g = list(state.g_prev if scheme.lagged else solve(h, ...))
+    h, rows = list(h), []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         m_i = (base[i] - (h[j] * g[k] - h[k] * g[j])
@@ -225,58 +238,41 @@ def _gauss_seidel_sweep(state: SchemeState, h, g, solve, alpha: float,
                + alpha * (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) * g[i])
         if src is not None:
             m_i += dt * src[i]
-        if bdf2:
+        if scheme.bdf2:
             m_i *= 2.0 / 3.0
         rows.append(m_i)
-        if i < refreshed:
-            h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if bdf2 else m_i
+        if i < scheme.refreshed:
+            h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if scheme.bdf2 else m_i
             g[i] = solve(h[i], i)
-    return np.stack(rows), g
+    context = f"{scheme.name} step {state.step_index}"
+    if not scheme.lagged:
+        return _finish(state, np.stack(rows), dt, context, params, kernel)
+    q = np.stack(g)
+    return _finish(state, np.stack(rows), dt, context, params, kernel,
+                   g_prev=q + state.d_prev,
+                   d_prev=0.5 * (q + 2.0 * state.d_prev - state.g_prev))
 
 
 def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
                dt: float, *, kernel: DemagKernel | None = None,
                source=None) -> SchemeState:
     """One first-order Gauss-Seidel projection step (five heat-equation solves)."""
-    state = with_stray_field(state, params, kernel)
-    src = _source_of(source, plan.grid, state.t + dt)
-    m = state.m_curr
-    solve = _solver(plan, params.eps * dt, 0.0,
-                    _field_of(params, m, state.hs_curr), dt)
-    m_star, _ = _gauss_seidel_sweep(state, m, solve(m), solve, params.alpha, src,
-                                    dt, bdf2=False, refreshed=2)
-    return _finish(state, m_star, dt, f"first-order step {state.step_index}",
-                   params, kernel)
+    return split_step(state, params, plan, dt, GSPM1, kernel=kernel, source=source)
 
 
 def si2_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,
              dt: float, *, kernel: DemagKernel | None = None,
              source=None) -> SchemeState:
-    """Plain second-order step: three biharmonic-type solves, one BDF2 update.
-
-    The sweep with no refreshed row; this is the baseline whose stability the
-    five-solve variant improves on.
-    """
-    state = with_stray_field(state, params, kernel)
-    src = _source_of(source, plan.grid, state.t + dt)
-    m_hat, solve = _second_order_solver(state, params, plan, dt)
-    m_star, _ = _gauss_seidel_sweep(state, m_hat, solve(m_hat), solve,
-                                    params.alpha, src, dt, bdf2=True, refreshed=0)
-    return _finish(state, m_star, dt, f"plain second-order step {state.step_index}",
-                   params, kernel)
+    """Plain second-order step: three biharmonic-type solves, one BDF2 update;
+    the baseline whose stability the five-solve variant improves on."""
+    return split_step(state, params, plan, dt, SI2, kernel=kernel, source=source)
 
 
 def scheme_a_step(state: SchemeState, params: MaterialParams,
                   plan: spectral.SpectralPlan, dt: float, *,
                   kernel: DemagKernel | None = None, source=None) -> SchemeState:
     """One step of the five-solve Gauss-Seidel method (unconditional stability)."""
-    state = with_stray_field(state, params, kernel)
-    src = _source_of(source, plan.grid, state.t + dt)
-    m_hat, solve = _second_order_solver(state, params, plan, dt)
-    m_star, _ = _gauss_seidel_sweep(state, m_hat, solve(m_hat), solve,
-                                    params.alpha, src, dt, bdf2=True, refreshed=2)
-    return _finish(state, m_star, dt, f"five-solve step {state.step_index}",
-                   params, kernel)
+    return split_step(state, params, plan, dt, SCHEME_A, kernel=kernel, source=source)
 
 
 def scheme_b_init(state: SchemeState, params: MaterialParams,
@@ -290,30 +286,19 @@ def scheme_b_init(state: SchemeState, params: MaterialParams,
     first-order bootstrap step). Six solves, once per run.
     """
     state = with_stray_field(state, params, kernel)
-    m_hat, solve = _second_order_solver(state, params, plan, dt)
+    m_hat, f = _frozen_field(state, params, SCHEME_B.bdf2)
     a = params.eps * dt
     d0 = spectral.solve(plan, state.m_curr - state.m_prev, a, a * a)
-    return replace(state, g_prev=solve(m_hat), d_prev=d0)
+    g0 = spectral.solve(plan, m_hat if f is None else m_hat + dt * f, a, a * a)
+    return replace(state, g_prev=g0, d_prev=d0)
 
 
 def scheme_b_step(state: SchemeState, params: MaterialParams,
                   plan: spectral.SpectralPlan, dt: float, *,
                   kernel: DemagKernel | None = None, source=None) -> SchemeState:
-    """One step of the three-solve Gauss-Seidel method (CFL-limited).
-
-    The carried g holds f from one step back (see notes/criterion1.md).
-    """
-    if state.g_prev is None or state.d_prev is None:
-        raise ValueError("three-solve scheme requires scheme_b_init() first")
-    state = with_stray_field(state, params, kernel)
-    src = _source_of(source, plan.grid, state.t + dt)
-    m_hat, solve = _second_order_solver(state, params, plan, dt)
-    m_star, q = _gauss_seidel_sweep(state, m_hat, state.g_prev, solve, params.alpha,
-                                    src, dt, bdf2=True, refreshed=3)
-    q = np.stack(q)
-    return _finish(state, m_star, dt, f"three-solve step {state.step_index}",
-                   params, kernel, g_prev=q + state.d_prev,
-                   d_prev=0.5 * (q + 2.0 * state.d_prev - state.g_prev))
+    """One step of the three-solve Gauss-Seidel method (CFL-limited). The
+    carried g holds f from one step back (see notes/criterion1.md)."""
+    return split_step(state, params, plan, dt, SCHEME_B, kernel=kernel, source=source)
 
 
 def bdf2_reference_step(state: SchemeState, params: MaterialParams,
@@ -333,8 +318,7 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
 
     state = with_stray_field(state, params, kernel)
     grid = plan.grid
-    m_hat = extrapolate(state.m_prev, state.m_curr)
-    phi = _field_at_hat(state, params, m_hat)
+    m_hat, phi = _frozen_field(state, params, bdf2=True)
     src = _source_of(source, grid, state.t + dt)
     al = params.alpha
 

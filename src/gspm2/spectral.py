@@ -165,7 +165,7 @@ def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.nda
     for negative or non-finite coefficients, or when the trailing shape of f
     is not the grid's.
     """
-    if not (np.isfinite(a) and np.isfinite(b) and a >= 0.0 and b >= 0.0):
+    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
         raise ValueError(f"coefficients must be finite and >= 0, got a={a}, b={b}")
     f = np.asarray(f, dtype=float)
     if f.shape[-3:] != plan.grid.shape:

@@ -6,10 +6,10 @@ from gspm2.convergence import integrate, observed_order
 from gspm2.manufactured import case_1d
 from gspm2.mesh import Grid, norm_inf, sample_vector
 from gspm2.physics import MaterialParams, build_demag_kernel
-from gspm2.schemes import (BlowUpError, SchemeState, bdf2_reference_step,
-                           extrapolate, gspm1_step, project, scheme_a_step,
-                           scheme_b_init, scheme_b_step, si2_step,
-                           unit_length_deviation)
+from gspm2.schemes import (GSPM1, SCHEME_A, SCHEME_B, SI2, BlowUpError,
+                           SchemeState, bdf2_reference_step, extrapolate,
+                           gspm1_step, project, scheme_a_step, scheme_b_init,
+                           scheme_b_step, si2_step, unit_length_deviation)
 from gspm2.spectral import build_plan
 
 EPS64 = np.finfo(float).eps
@@ -122,6 +122,10 @@ class TestSolveCounts:
         assert budgets["scheme-b"] == 3
         assert budgets["si2"] == 3
         assert budgets["gspm1"] == 5
+        # three solves of g unless it is lagged, one per refreshed row
+        rows = {"gspm1": GSPM1, "si2": SI2, "scheme-a": SCHEME_A, "scheme-b": SCHEME_B}
+        for name, row in rows.items():
+            assert budgets[name] == 3 * (not row.lagged) + row.refreshed, name
 
 
 def stray_film():
