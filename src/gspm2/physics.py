@@ -8,7 +8,13 @@ implicitly inside their linear solves. What remains is the pointwise part
 the stray field being the magnetostatic field of the cell-averaged
 magnetization, evaluated with the Newell cell-pair tensor (A. Newell,
 W. Williams, D. Dunlop, J. Geophys. Res. 98, 9551 (1993)) and applied by
-zero-padded FFT convolution on the doubled grid.
+zero-padded FFT convolution on the doubled grid. As in MuMax3 (A.
+Vansteenkiste et al., AIP Adv. 4, 107133 (2014)), x, the longest padded axis
+of a film, takes the real transform, which halves the spectra; y and z take
+complex ones. A z axis of at most DENSE_Z_MAX cells, the thickness of a film,
+is transformed by one product with a cached DFT matrix instead of pocketfft,
+whose per-line overhead dominates on so short an axis. The two paths agree to
+rounding, not bit for bit.
 
 Each tensor entry is a 64-corner alternating sum of a Newell potential. Its
 terms read the potential at only 27 distinct shifted offsets, so the single
@@ -20,6 +26,7 @@ sum's term order, so the kernel equals the entry bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -148,6 +155,28 @@ _COMPONENT_RECIPE = {
 # each cell-pair tensor entry reads its potential at the 27 shifts k = s - t
 _SHIFTS = (-1, 0, 1)
 
+# longest z axis transformed by a dense DFT-matrix product; longer z axes use
+# pocketfft. Measured crossover (whole demag_field calls): the product is
+# 12-22% faster on 64x64 films up to nz = 16 and on a 16^3 cube, within 10%
+# of pocketfft from nz = 24 to 32, and 1.35 times slower on 8x8x64
+DENSE_Z_MAX = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DFT of a length-n axis zero-padded to p modes (p = 2n, or 1 when
+    n = 1) as an (n, p) matrix applied from the right, and the inverse DFT
+    truncated to the first n outputs as a (p, n) one; both C-contiguous and
+    read-only. Only z lengths up to DENSE_Z_MAX are asked for, so the cache
+    stays small."""
+    p = 1 if n == 1 else 2 * n
+    # the integer phase reduced mod p keeps the exponent's angle below 2 pi
+    phase = (np.arange(n)[:, None] * np.arange(p)[None, :]) % p
+    F = np.exp(-2j * np.pi * phase / p)
+    F_inv = np.ascontiguousarray(F.conj().T) / p
+    F.flags.writeable = F_inv.flags.writeable = False
+    return F, F_inv
+
 
 def _corner_sum(value, spacing):
     """The 64-corner alternating Newell sum over one pair of cells.
@@ -186,7 +215,9 @@ def demag_tensor_entry(component: str, X, Y, Z, spacing) -> np.ndarray:
 class DemagKernel:
     """Pre-transformed demagnetization tensor on the zero-padded doubled grid.
 
-    `fft` maps the six symmetric components to their rfftn transforms;
+    `fft` maps the six symmetric components to their spectra on the padded
+    grid (px, py, pz): a real FFT along x, keeping px//2 + 1 modes, then full
+    complex FFTs along y and z, so each is a (px//2 + 1, py, pz) array;
     `self_diag` holds the real-space self-interaction diagonal
     (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
     """
@@ -252,7 +283,8 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
         del planes
         if i < 3:
             self_diag[i] = block[0, 0, 0]
-        fft_components[comp] = scipy.fft.rfftn(block)
+        # rfftn takes the real transform over its last axis: x
+        fft_components[comp] = scipy.fft.rfftn(block, axes=(1, 2, 0))
     return DemagKernel(grid, fft_components, padded, self_diag)
 
 
@@ -260,17 +292,27 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     """Stray field h_s = -(N * m) by zero-padded fast convolution.
 
     The padding is never materialized: the forward transforms run axis by
-    axis (z, then y, then x), each zero-extending its input to the padded
-    length, so rows that are all zero are never transformed. Each output
-    component is then formed and transformed back on its own, in the
-    opposite axis order, keeping only the first n entries of each axis as
-    soon as that axis is done; one component's spectrum is held at a time.
+    axis (a real transform on x, then y, then z), each zero-extending
+    its input to the padded length, so rows that are all zero are never
+    transformed. Each output component is then formed and transformed back
+    on its own, in the opposite axis order, keeping only the first n entries
+    of each axis as soon as that axis is done; one component's spectrum is
+    held at a time.
+
+    Raises ValueError unless m has shape (3,) + the kernel's grid shape.
     """
     nx, ny, nz = kernel.grid.shape
     px, py, pz = kernel.padded_shape
-    mf = scipy.fft.rfft(m, n=pz, axis=3)
+    if np.shape(m) != (3, nx, ny, nz):
+        raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
+    mf = scipy.fft.rfft(m, n=px, axis=1)
     mf = scipy.fft.fft(mf, n=py, axis=2, overwrite_x=True)
-    mf = scipy.fft.fft(mf, n=px, axis=1, overwrite_x=True)
+    dense_z = nz <= DENSE_Z_MAX
+    if dense_z:
+        F, F_inv = _dft_pair(nz)
+        mf = (mf.reshape(-1, nz) @ F).reshape(mf.shape[:3] + (pz,))
+    else:
+        mf = scipy.fft.fft(mf, n=pz, axis=3, overwrite_x=True)
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
     h = np.empty((3, nx, ny, nz))
@@ -280,9 +322,12 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
         np.multiply(K[row[0]], mf[0], out=out)
         for comp, mj in zip(row[1:], mf[1:]):
             out += np.multiply(K[comp], mj, out=term)
-        c = scipy.fft.ifft(out, axis=0, overwrite_x=True)[:nx]
+        if dense_z:
+            c = (out.reshape(-1, pz) @ F_inv).reshape(out.shape[:2] + (nz,))
+        else:
+            c = scipy.fft.ifft(out, axis=2, overwrite_x=True)[..., :nz]
         c = scipy.fft.ifft(c, axis=1, overwrite_x=True)[:, :ny]
-        np.negative(scipy.fft.irfft(c, n=pz, axis=2)[..., :nz], out=hi)
+        np.negative(scipy.fft.irfft(c, n=px, axis=0)[:nx], out=hi)
     return h
 
 
