@@ -14,7 +14,11 @@ of a film, takes the real transform, which halves the spectra; y and z take
 complex ones. A z axis of at most DENSE_Z_MAX cells, the thickness of a film,
 is transformed by one product with a cached DFT matrix instead of pocketfft,
 whose per-line overhead dominates on so short an axis. The two paths agree to
-rounding, not bit for bit.
+rounding, not bit for bit. After the x transform, `demag_field` works through
+the x-modes in slabs of about _SLAB_BYTES per buffer, in buffers the kernel
+keeps from call to call: a call allocates only the x spectrum, the inverse x
+transform and the field, so the heap is not trimmed and refaulted on every
+call, and a slab's working set stays near the core's cache.
 
 Each tensor entry is a 64-corner alternating sum of a Newell potential. Its
 terms read the potential at only 27 distinct shifted offsets, so the single
@@ -161,6 +165,15 @@ _SHIFTS = (-1, 0, 1)
 # of pocketfft from nz = 24 to 32, and 1.35 times slower on 8x8x64
 DENSE_Z_MAX = 16
 
+# bytes of one product buffer of demag_field, which sets its slab width: as
+# many x-modes, each a (py, pz) complex plane, as fit, and at least one.
+# Measured crossover (whole calls, budgets interleaved in one process, one
+# BLAS thread, 2 MiB of L2 per core), against 256 KiB: 64x64x3 is 2-5% slower
+# at 128 and 512 KiB, 25% slower at 32 KiB, where the per-slab overhead
+# dominates, and 14% slower as one slab; 250x250x5 is 1-4% faster at 64 and
+# 128 KiB, 7% slower at 1 MiB, 17% at 4 MiB and 46% as one slab
+_SLAB_BYTES = 256 * 1024
+
 
 @functools.lru_cache(maxsize=None)
 def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,6 +233,9 @@ class DemagKernel:
     complex FFTs along y and z, so each is a (px//2 + 1, py, pz) array;
     `self_diag` holds the real-space self-interaction diagonal
     (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
+
+    The kernel also holds the slab buffers `demag_field` reuses from call to
+    call, made on its first call and kept out of `fft`. Not thread safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -228,6 +244,7 @@ class DemagKernel:
         self.fft = fft_components
         self.padded_shape = padded_shape
         self.self_diag = self_diag
+        self._slabs = None
 
     @property
     def self_trace(self) -> float:
@@ -288,16 +305,44 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     return DemagKernel(grid, fft_components, padded, self_diag)
 
 
+def _slab_buffers(kernel: DemagKernel) -> tuple:
+    """(width, lines, spectra, product, term): the slab width in x-modes and
+    the flat complex buffers `demag_field` views as (3, w, py, nz),
+    (3, w, py, pz), (w, py, pz) and (w, py, pz) for a slab of w <= width
+    modes. Made on the kernel's first call and kept on it."""
+    if kernel._slabs is None:
+        nz = kernel.grid.nz
+        px, py, pz = kernel.padded_shape
+        plane = py * pz
+        width = min(px // 2 + 1, max(1, _SLAB_BYTES // (16 * plane)))
+        kernel._slabs = (width,
+                         np.empty(3 * width * py * nz, dtype=complex),
+                         np.empty(3 * width * plane, dtype=complex),
+                         np.empty(width * plane, dtype=complex),
+                         np.empty(width * plane, dtype=complex))
+    return kernel._slabs
+
+
 def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     """Stray field h_s = -(N * m) by zero-padded fast convolution.
 
-    The padding is never materialized: the forward transforms run axis by
-    axis (a real transform on x, then y, then z), each zero-extending
-    its input to the padded length, so rows that are all zero are never
-    transformed. Each output component is then formed and transformed back
-    on its own, in the opposite axis order, keeping only the first n entries
-    of each axis as soon as that axis is done; one component's spectrum is
-    held at a time.
+    The padding is never materialized: m takes its real transform along x,
+    zero-extended to the padded length, and the x-modes are then processed
+    in slabs of the kernel's reusable buffers. Each slab is zero-padded
+    along y and transformed there in place, then along z (a DFT-matrix
+    product, or pocketfft on a z axis longer than DENSE_Z_MAX). Each output
+    component is formed from the tensor products and transformed back along
+    z, keeping the first nz entries; one inverse y transform of the three
+    then puts the first ny entries into the slab's own rows of the x
+    spectrum, which were read before they are overwritten. One inverse real
+    transform along x gives the field, a fresh array.
+
+    The modes are split evenly into slabs of at most the buffers' width, and
+    the width changes no result: every transform and product acts on whole
+    lines or elements, and each z product stays a matrix product. (numpy
+    hands a one-row product to gemv, which rounds differently; only a
+    one-mode slab with ny = 1 would make one, and there a slab holds
+    hundreds of modes.)
 
     Raises ValueError unless m has shape (3,) + the kernel's grid shape.
     """
@@ -305,30 +350,47 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     px, py, pz = kernel.padded_shape
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
-    mf = scipy.fft.rfft(m, n=px, axis=1)
-    mf = scipy.fft.fft(mf, n=py, axis=2, overwrite_x=True)
+    width, lines, spectra, product, term = _slab_buffers(kernel)
     dense_z = nz <= DENSE_Z_MAX
     if dense_z:
         F, F_inv = _dft_pair(nz)
-        mf = (mf.reshape(-1, nz) @ F).reshape(mf.shape[:3] + (pz,))
-    else:
-        mf = scipy.fft.fft(mf, n=pz, axis=3, overwrite_x=True)
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
+    # the field outlives the call (states carry it), so it is allocated ahead
+    # of the call's temporaries: allocated after them, it raised a 40-round
+    # thin-film run's peak RSS by 3-4 MB
     h = np.empty((3, nx, ny, nz))
-    out = np.empty_like(mf[0])
-    term = np.empty_like(mf[0])
-    for hi, row in zip(h, rows):
-        np.multiply(K[row[0]], mf[0], out=out)
-        for comp, mj in zip(row[1:], mf[1:]):
-            out += np.multiply(K[comp], mj, out=term)
+    mf = scipy.fft.rfft(m, n=px, axis=1)
+    kx = mf.shape[1]
+    count = -(-kx // width)
+    for j in range(count):
+        lo, hi = j * kx // count, (j + 1) * kx // count
+        w = hi - lo
+        y = lines[:3 * w * py * nz].reshape(3, w, py, nz)
+        y[:, :, :ny] = mf[:, lo:hi]
+        y[:, :, ny:] = 0.0
+        y = scipy.fft.fft(y, axis=2, overwrite_x=True)
+        s = spectra[:3 * w * py * pz].reshape(3, w, py, pz)
         if dense_z:
-            c = (out.reshape(-1, pz) @ F_inv).reshape(out.shape[:2] + (nz,))
+            np.matmul(y.reshape(-1, nz), F, out=s.reshape(-1, pz))
         else:
-            c = scipy.fft.ifft(out, axis=2, overwrite_x=True)[..., :nz]
-        c = scipy.fft.ifft(c, axis=1, overwrite_x=True)[:, :ny]
-        np.negative(scipy.fft.irfft(c, n=px, axis=0)[:nx], out=hi)
-    return h
+            s[..., :nz] = y
+            s[..., nz:] = 0.0
+            s = scipy.fft.fft(s, axis=3, overwrite_x=True)
+        out = product[:w * py * pz].reshape(w, py, pz)
+        tmp = term[:w * py * pz].reshape(w, py, pz)
+        # y is free once s is formed: it takes the three inverse z transforms
+        for yi, row in zip(y, rows):
+            np.multiply(K[row[0]][lo:hi], s[0], out=out)
+            for comp, sj in zip(row[1:], s[1:]):
+                out += np.multiply(K[comp][lo:hi], sj, out=tmp)
+            if dense_z:
+                np.matmul(out.reshape(-1, pz), F_inv, out=yi.reshape(-1, nz))
+            else:
+                yi[...] = scipy.fft.ifft(out, axis=2, overwrite_x=True)[..., :nz]
+        y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
+        mf[:, lo:hi] = y[:, :, :ny]
+    return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)
 
 
 def local_field(params: MaterialParams, m: np.ndarray,
