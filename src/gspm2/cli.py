@@ -8,7 +8,8 @@ and defaults are in `config.KIND_FIELDS`. The micromag production grid is
 
 Exit codes: 0 success, 2 configuration error, 3 numerical blow-up. Stability
 scans absorb blow-ups internally (they are the signal being measured, not a
-failure).
+failure); a scan bracket that does not straddle the threshold is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import convergence as conv
 from . import io as gio
-from .config import KINDS, ConfigError, ExperimentConfig, material_params
+from .config import KINDS, ConfigError, ExperimentConfig, _checked, material_params
 from .manufactured import case_1d, case_3d, neel_wall_initial
 from .mesh import Grid, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
@@ -69,10 +70,9 @@ def _run_convergence(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _run_stability(cfg: ExperimentConfig) -> RunRecord:
-    report = conv.stability_scan(cfg.scheme, case_1d(cfg.alpha), cfg.h_list,
-                                 t_final=cfg.t_final,
-                                 cfl_bracket=tuple(cfg.cfl_bracket),
-                                 rounds=cfg.rounds)
+    report = _checked("cfl_bracket", conv.stability_scan, cfg.scheme,
+                      case_1d(cfg.alpha), cfg.h_list, t_final=cfg.t_final,
+                      cfl_bracket=tuple(cfg.cfl_bracket), rounds=cfg.rounds)
     summary = {"rows": [{"h": r.h, "dt_stable": r.dt_stable}
                         for r in report.rows]}
     return RunRecord(config=cfg.to_dict(), report=report.to_dict(),

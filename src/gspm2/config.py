@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .convergence import _STEPPERS
+from .convergence import _STEPPERS, cells_across
 from .physics import MaterialParams, PhysicalConstants
 
 CASES = ("mms-1d", "mms-3d")
@@ -299,4 +299,12 @@ class ExperimentConfig:
                 raise ConfigError("solve domain must be [lx, ly, lz]")
             self._check_params()
             self._check_initial()
+        # a mesh size must divide its domain: the unit line or cube, or both
+        # lengths of the converge-2d rectangle
+        sizes = {"converge-time": [self.dx], "converge-space": self.dx_list,
+                 "converge-2d": [self.dx], "stability": self.h_list}
+        lengths = self.domain if self.kind == "converge-2d" else (1.0,)
+        for h in sizes.get(self.kind, ()):
+            for length in lengths:
+                _checked(self.kind, cells_across, length, h)
         return self

@@ -139,12 +139,19 @@ class ConvergenceReport:
         }
 
 
+def cells_across(length: float, h: float) -> int:
+    """Cells of width h across `length`; ValueError unless h divides it (to
+    1e-9 relative). The studies and the config checks share this rule."""
+    n = round(length / h)
+    if abs(n * h - length) > 1e-9 * length:
+        raise ValueError(f"mesh size {h} does not divide the domain length {length}")
+    return n
+
+
 def _case_start(case: ManufacturedCase, dx: float) -> tuple:
     """(grid, params, m0): the unit line or cube at mesh size dx, the case's
     material parameters and its exact field at t = 0."""
-    n = round(1.0 / dx)
-    if abs(n * dx - 1.0) > 1e-9:
-        raise ValueError(f"dx={dx} does not divide the unit domain")
+    n = cells_across(1.0, dx)
     grid = Grid.line(n) if case.dimension == 1 else Grid.cube(n)
     m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
     return grid, MaterialParams(eps=1.0, alpha=case.alpha), m0
@@ -185,9 +192,10 @@ def run_wall_reference_convergence(scheme: str, *, alpha: float = 0.01,
 
     The reference trajectory comes from the coupled BDF2 integrator at
     t_final/ref_divisor (pass `reference` to reuse one across schemes).
+    Raises ValueError unless dx divides both domain lengths.
     """
     lx, ly = domain
-    grid = Grid.rect(round(lx / dx), round(ly / dx), lx, ly)
+    grid = Grid.rect(cells_across(lx, dx), cells_across(ly, dx), lx, ly)
     plan = build_plan(grid)
     params = MaterialParams(eps=1.0, alpha=alpha)
     m0 = sample_vector(grid, neel_wall_initial(eta=dx))

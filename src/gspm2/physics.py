@@ -11,14 +11,14 @@ W. Williams, D. Dunlop, J. Geophys. Res. 98, 9551 (1993)) and applied by
 zero-padded FFT convolution on the doubled grid. As in MuMax3 (A.
 Vansteenkiste et al., AIP Adv. 4, 107133 (2014)), x, the longest padded axis
 of a film, takes the real transform, which halves the spectra; y and z take
-complex ones. A z axis of at most DENSE_Z_MAX cells, the thickness of a film,
-is transformed by one product with a cached DFT matrix instead of pocketfft,
-whose per-line overhead dominates on so short an axis. The two paths agree to
-rounding, not bit for bit. After the x transform, `demag_field` works through
-the x-modes in slabs of about _SLAB_BYTES per buffer, in buffers the kernel
+complex ones. The z axis, the thickness of a film, is transformed by one
+product with a cached DFT matrix, which on a few cells beats pocketfft's
+per-line overhead. After the x transform, `demag_field` works through the
+x-modes in slabs of about _SLAB_BYTES per buffer, in buffers the kernel
 keeps from call to call: a call allocates only the x spectrum, the inverse x
 transform and the field, so the heap is not trimmed and refaulted on every
-call, and a slab's working set stays near the core's cache.
+call, and a slab's working set stays near the core's cache. `energy` reads
+f from `local_field`.
 
 Each tensor entry is a 64-corner alternating sum of a Newell potential. Its
 terms read the potential at only 27 distinct shifted offsets, so the single
@@ -159,12 +159,6 @@ _COMPONENT_RECIPE = {
 # each cell-pair tensor entry reads its potential at the 27 shifts k = s - t
 _SHIFTS = (-1, 0, 1)
 
-# longest z axis transformed by a dense DFT-matrix product; longer z axes use
-# pocketfft. Measured crossover (whole demag_field calls): the product is
-# 12-22% faster on 64x64 films up to nz = 16 and on a 16^3 cube, within 10%
-# of pocketfft from nz = 24 to 32, and 1.35 times slower on 8x8x64
-DENSE_Z_MAX = 16
-
 # bytes of one product buffer of demag_field, which sets its slab width: as
 # many x-modes, each a (py, pz) complex plane, as fit, and at least one.
 # Measured crossover (whole calls, budgets interleaved in one process, one
@@ -176,13 +170,12 @@ _SLAB_BYTES = 256 * 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DFT of a length-n axis zero-padded to p modes (p = 2n, or 1 when
-    n = 1) as an (n, p) matrix applied from the right, and the inverse DFT
-    truncated to the first n outputs as a (p, n) one; both C-contiguous and
-    read-only. Only z lengths up to DENSE_Z_MAX are asked for, so the cache
-    stays small."""
-    p = 1 if n == 1 else 2 * n
+def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DFT of a length-n axis zero-padded to p modes as an (n, p) matrix
+    applied from the right, and the inverse DFT truncated to the first n
+    outputs as a (p, n) one; both C-contiguous and read-only. p is the
+    kernel's padded length, so the padding rule stays in
+    `build_demag_kernel`. One pair is cached per z length in use."""
     # the integer phase reduced mod p keeps the exponent's angle below 2 pi
     phase = (np.arange(n)[:, None] * np.arange(p)[None, :]) % p
     F = np.exp(-2j * np.pi * phase / p)
@@ -231,8 +224,9 @@ class DemagKernel:
     `fft` maps the six symmetric components to their spectra on the padded
     grid (px, py, pz): a real FFT along x, keeping px//2 + 1 modes, then full
     complex FFTs along y and z, so each is a (px//2 + 1, py, pz) array;
-    `self_diag` holds the real-space self-interaction diagonal
-    (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
+    `padded_shape` doubles each axis but one of length 1. `self_diag` holds
+    the real-space self-interaction diagonal (Nxx(0), Nyy(0), Nzz(0)), whose
+    sum is 1 for any cell shape.
 
     The kernel also holds the slab buffers `demag_field` reuses from call to
     call, made on its first call and kept out of `fft`. Not thread safe.
@@ -329,10 +323,10 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     The padding is never materialized: m takes its real transform along x,
     zero-extended to the padded length, and the x-modes are then processed
     in slabs of the kernel's reusable buffers. Each slab is zero-padded
-    along y and transformed there in place, then along z (a DFT-matrix
-    product, or pocketfft on a z axis longer than DENSE_Z_MAX). Each output
-    component is formed from the tensor products and transformed back along
-    z, keeping the first nz entries; one inverse y transform of the three
+    along y and transformed there in place, then along z by a product with
+    the padded DFT matrix. Each output component is formed from the tensor
+    products and transformed back along z by the truncated inverse matrix,
+    which keeps the first nz entries; one inverse y transform of the three
     then puts the first ny entries into the slab's own rows of the x
     spectrum, which were read before they are overwritten. One inverse real
     transform along x gives the field, a fresh array.
@@ -344,16 +338,17 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     one-mode slab with ny = 1 would make one, and there a slab holds
     hundreds of modes.)
 
-    Raises ValueError unless m has shape (3,) + the kernel's grid shape.
+    Raises ValueError if kernel is None (a stray field without its kernel)
+    or unless m has shape (3,) + the kernel's grid shape.
     """
+    if kernel is None:
+        raise ValueError("stray field enabled but no demag kernel supplied")
     nx, ny, nz = kernel.grid.shape
     px, py, pz = kernel.padded_shape
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
     width, lines, spectra, product, term = _slab_buffers(kernel)
-    dense_z = nz <= DENSE_Z_MAX
-    if dense_z:
-        F, F_inv = _dft_pair(nz)
+    F, F_inv = _dft_pair(nz, pz)
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
     # the field outlives the call (states carry it), so it is allocated ahead
@@ -371,12 +366,7 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
         s = spectra[:3 * w * py * pz].reshape(3, w, py, pz)
-        if dense_z:
-            np.matmul(y.reshape(-1, nz), F, out=s.reshape(-1, pz))
-        else:
-            s[..., :nz] = y
-            s[..., nz:] = 0.0
-            s = scipy.fft.fft(s, axis=3, overwrite_x=True)
+        np.matmul(y.reshape(-1, nz), F, out=s.reshape(-1, pz))
         out = product[:w * py * pz].reshape(w, py, pz)
         tmp = term[:w * py * pz].reshape(w, py, pz)
         # y is free once s is formed: it takes the three inverse z transforms
@@ -384,10 +374,7 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
             np.multiply(K[row[0]][lo:hi], s[0], out=out)
             for comp, sj in zip(row[1:], s[1:]):
                 out += np.multiply(K[comp][lo:hi], sj, out=tmp)
-            if dense_z:
-                np.matmul(out.reshape(-1, pz), F_inv, out=yi.reshape(-1, nz))
-            else:
-                yi[...] = scipy.fft.ifft(out, axis=2, overwrite_x=True)[..., :nz]
+            np.matmul(out.reshape(-1, pz), F_inv, out=yi.reshape(-1, nz))
         y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
         mf[:, lo:hi] = y[:, :, :ny]
     return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)
@@ -401,8 +388,6 @@ def local_field(params: MaterialParams, m: np.ndarray,
     `stray`, when given, is taken as h_s(m) in place of a convolution; the
     integrators pass the stray field they carry from step to step.
     """
-    if params.stray_enabled and kernel is None and stray is None:
-        raise ValueError("stray field enabled but no demag kernel supplied")
     f = np.zeros_like(np.asarray(m, dtype=float))
     if params.q != 0.0:
         f[1] -= params.q * m[1]
@@ -419,10 +404,11 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
            stray: np.ndarray | None = None) -> float:
     """Dimensionless free energy of a unit-magnetization field.
 
-    (1/2) sum of [eps |grad_h m|^2 + q (m2^2 + m3^2) - 2 h_ext.m - h_s.m]
-    per cell volume. The exchange gradient uses forward differences across
-    interior faces (each face once), which pairs with the mirrored Laplacian
-    under summation by parts, and h_s is linear and symmetric in m, so the
+    (1/2) sum of [eps |grad_h m|^2 - (f(m) + h_ext).m] per cell volume, f
+    from `local_field`: q (m2^2 + m3^2) - 2 h_ext.m - h_s.m in the bracket.
+    The exchange gradient uses forward differences across interior faces
+    (each face once), which pairs with the mirrored Laplacian under
+    summation by parts, and h_s is linear and symmetric in m, so the
     gradient of this functional is exactly -(eps Lap m + f(m)) vol: it is the
     Lyapunov functional of the dynamics the integrators discretize. `stray`,
     when given, is taken as h_s(m) in place of a convolution.
@@ -438,15 +424,8 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
         if n > 1:
             d = np.diff(m, axis=axis + 1) / h
             total += 0.5 * params.eps * (d * d).sum() * vol
-    if params.q != 0.0:
-        total += 0.5 * params.q * ((m[1] * m[1] + m[2] * m[2])).sum() * vol
-    if any(c != 0.0 for c in params.h_ext):
-        he = np.asarray(params.h_ext, dtype=float)[:, None, None, None]
-        total -= (he * m).sum() * vol
-    if params.stray_enabled:
-        if stray is None:
-            if kernel is None:
-                raise ValueError("stray field enabled but no demag kernel supplied")
-            stray = demag_field(kernel, m)
-        total -= 0.5 * (stray * m).sum() * vol
+    if params.has_local_field:
+        f = local_field(params, m, kernel, stray=stray)
+        f += np.asarray(params.h_ext, dtype=float)[:, None, None, None]
+        total -= 0.5 * (f * m).sum() * vol
     return float(total)

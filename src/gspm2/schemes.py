@@ -153,8 +153,6 @@ def with_stray_field(state: SchemeState, params: MaterialParams,
     same array (an initial state), two otherwise."""
     if not params.stray_enabled or state.hs_curr is not None:
         return state
-    if kernel is None:
-        raise ValueError("stray field enabled but no demag kernel supplied")
     hs_curr = demag_field(kernel, state.m_curr)
     hs_prev = (hs_curr if state.m_prev is state.m_curr
                else demag_field(kernel, state.m_prev))

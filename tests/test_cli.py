@@ -130,8 +130,22 @@ class TestMainExitCodes:
                                         "gamma": 1.76e11, "L": 1e-6}),
         dict(MICROMAG_SMALL, initial="uniform"),
         dict(MICROMAG_SMALL, t_final_seconds=10 ** 400),
+        # mesh sizes that do not divide the domain: the first three used to
+        # die in the run, converge-2d silently ran 7x1 cells of width 1/7
+        {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dx": 0.3, "t_final": 0.1, "dt_list": [0.05, 0.025]},
+        {"kind": "converge-space", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dt": 1e-3, "t_final": 0.01, "dx_list": [0.3, 0.15]},
+        {"kind": "stability", "scheme": "scheme-b", "h_list": [0.3]},
+        {"kind": "converge-2d", "scheme": "scheme-a", "alpha": 0.01,
+         "dx": 0.15, "t_final": 4e-5, "dt_divisors": [5, 10]},
+        # scheme-b is already unstable at the low end of the bracket
+        {"kind": "stability", "scheme": "scheme-b", "h_list": [0.1],
+         "cfl_bracket": [0.5, 1.0], "t_final": 0.2},
     ], ids=["infinite-duration", "one-step-size", "params-eps-string",
-            "constants-negative", "initial-string", "integer-beyond-float"])
+            "constants-negative", "initial-string", "integer-beyond-float",
+            "time-dx-off-domain", "space-dx-off-domain", "stability-h-off-domain",
+            "2d-dx-off-domain", "bracket-not-straddling"])
     def test_config_numbers_that_crash_a_run_are_2(self, tmp_path, capsys, payload):
         cfg_path = write_cfg(tmp_path, payload)
         assert main([payload["kind"], "--config", cfg_path,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gspm2.convergence import (ConvergenceReport, integrate, observed_order,
-                               run_time_convergence, stability_scan)
+from gspm2.convergence import (ConvergenceReport, cells_across, integrate,
+                               observed_order, run_time_convergence,
+                               run_wall_reference_convergence, stability_scan)
 from gspm2.manufactured import case_1d
 from gspm2.mesh import Grid
 from gspm2.physics import MaterialParams
@@ -82,6 +83,25 @@ class TestReports:
         assert len(rep.points) == 3
         assert rep.points[0][1] > rep.points[-1][1]
         assert rep.max_unit_deviation <= 4 * np.finfo(float).eps
+
+
+class TestMeshDivisibility:
+    @pytest.mark.parametrize("length,h,n", [(1.0, 0.1, 10), (0.2, 0.05, 4),
+                                            (1.0, 1e-4, 10000)])
+    def test_counts_cells(self, length, h, n):
+        assert cells_across(length, h) == n
+
+    @pytest.mark.parametrize("length,h", [(1.0, 0.3), (0.2, 0.15), (1.0, 3.0)])
+    def test_rejects_a_size_that_does_not_divide(self, length, h):
+        with pytest.raises(ValueError, match="does not divide"):
+            cells_across(length, h)
+
+    @pytest.mark.parametrize("dx", [0.15, 0.125], ids=["lx", "ly"])
+    def test_wall_study_checks_both_lengths(self, dx):
+        # on the 1 x 0.2 domain these used to run 7 x 1 cells of width 1/7
+        # and 8 x 2 of height 0.1; raised before the reference run starts
+        with pytest.raises(ValueError, match="does not divide"):
+            run_wall_reference_convergence("gspm1", dx=dx)
 
 
 class TestStabilityScan:
