@@ -6,7 +6,8 @@ Reads the values `ExperimentConfig.validate` resolved; each kind's fields
 and defaults are in `config.KIND_FIELDS`. The micromag production grid is
 `"grid": [250, 250, 5]`.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical blow-up. Stability
+Exit codes: 0 success, 2 configuration error, 3 numerical blow-up or a
+coupled `bdf2-ref` solve that did not converge. Stability
 scans absorb blow-ups internally (they are the signal being measured, not a
 failure); a scan bracket that does not straddle the threshold is a
 configuration error.
@@ -29,7 +30,7 @@ from .manufactured import case_1d, case_3d, neel_wall_initial
 from .mesh import Grid, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
                       energy, nondimensionalize)
-from .schemes import BlowUpError
+from .schemes import BlowUpError, KrylovError
 
 
 @dataclass
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
         return 2
     except BlowUpError as exc:
         print(f"gspm2: numerical blow-up: {exc}", file=sys.stderr)
+        return 3
+    except KrylovError as exc:
+        print(f"gspm2: solver failure: {exc}", file=sys.stderr)
         return 3
 
     for path in emit(record, args.out, formats):

@@ -17,12 +17,12 @@ from __future__ import annotations
 import copy
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .convergence import _STEPPERS, cells_across
+from .mesh import is_number
 from .physics import MaterialParams, PhysicalConstants
 
 CASES = ("mms-1d", "mms-3d")
@@ -84,20 +84,13 @@ def _resolve(table: dict, given: dict, where: str) -> dict:
                if default is not REQUIRED and default is not None}, **given}
 
 
-def _is_number(value) -> bool:
-    # JSON true/false parse to bool, which Python counts as an int; a JSON
-    # integer beyond the float range cannot enter float arithmetic
-    return (isinstance(value, float) or not isinstance(value, bool)
-            and isinstance(value, int) and abs(value) <= sys.float_info.max)
-
-
 def _is_positive(value) -> bool:
-    return _is_number(value) and math.isfinite(value) and value > 0
+    return is_number(value) and math.isfinite(value) and value > 0
 
 
 def _numbers(where: str, values: dict):
     for name, value in values.items():
-        if not _is_number(value):
+        if not is_number(value):
             raise ConfigError(f"{where} {name} must be a number, got {value!r}")
 
 
@@ -211,7 +204,7 @@ class ExperimentConfig:
         p = self.params
         _numbers("params", {k: p[k] for k in ("eps", "alpha", "q")})
         if not (isinstance(p["h_ext"], (list, tuple))
-                and all(_is_number(v) for v in p["h_ext"])):
+                and all(is_number(v) for v in p["h_ext"])):
             raise ConfigError(f"params h_ext must be a list of numbers, "
                               f"got {p['h_ext']!r}")
         if not isinstance(p["stray"], bool):
@@ -237,7 +230,7 @@ class ExperimentConfig:
             # the norm the run divides by
             norm = (np.linalg.norm(np.asarray(d, dtype=float))
                     if isinstance(d, (list, tuple)) and len(d) == 3
-                    and all(_is_number(v) for v in d) else 0.0)
+                    and all(is_number(v) for v in d) else 0.0)
             if not (math.isfinite(norm) and norm > 0.0):
                 raise ConfigError(f"uniform direction must be a finite nonzero "
                                   f"3-vector, got {d!r}")

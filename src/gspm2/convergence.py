@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manufactured import ManufacturedCase, neel_wall_initial
-from .mesh import Grid, norm_inf, norm_l2, sample_vector
+from .mesh import Grid, is_number, norm_inf, norm_l2, sample_vector
 from .physics import MaterialParams
 from .schemes import (BlowUpError, SchemeState, bdf2_reference_step, gspm1_step,
-                      scheme_a_step, scheme_b_init, scheme_b_step, si2_step,
+                      scheme_a_step, scheme_b_step, si2_step,
                       unit_length_deviation, with_stray_field)
 from .spectral import build_plan
 
@@ -48,9 +48,9 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
               on_step=None, step_kwargs=None) -> IntegrationResult:
     """Advance n_steps of size dt from m0 with the named scheme.
 
-    Two-level schemes take their first step with the first-order method (one
-    such step costs only O(dt^2) globally); the three-solve scheme
-    additionally initializes its lagged fields from the first two levels.
+    Every scheme takes its first step with the first-order method (one such
+    step costs only O(dt^2) globally); the three-solve scheme's first own
+    step initializes its lagged fields from the first two levels.
     With the stray field on, h_s(m0) is evaluated here, before the first
     step; each step then evaluates it once, on its projected result.
     `on_step(state)` is called after every step; `step_kwargs` are forwarded
@@ -61,7 +61,7 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
             or n_steps < 0):
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
-    if not (np.isfinite(dt) and dt > 0):
+    if not (is_number(dt) and np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if plan is None:
         plan = build_plan(grid)
@@ -71,10 +71,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     solves_before = plan.solve_count
     max_dev = 0.0
     for k in range(n_steps):
-        if k == 0 and scheme != "gspm1":
+        if k == 0:
             state = gspm1_step(state, params, plan, dt, kernel=kernel, source=source)
-            if scheme == "scheme-b":
-                state = scheme_b_init(state, params, plan, dt, kernel=kernel)
         else:
             state = stepper(state, params, plan, dt, kernel=kernel, source=source,
                             **(step_kwargs or {}))

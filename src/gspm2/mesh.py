@@ -9,10 +9,20 @@ implements the homogeneous Neumann condition d(m)/d(nu) = 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def is_number(value) -> bool:
+    """A real number that float arithmetic takes: a bool is an int to Python,
+    and an integer beyond the float range overflows, so neither counts."""
+    if isinstance(value, (float, np.floating)):
+        return True
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -38,7 +48,7 @@ class Grid:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
         for name in ("lx", "ly", "lz"):
             length = getattr(self, name)
-            if not (np.isfinite(length) and length > 0):
+            if not (is_number(length) and np.isfinite(length) and length > 0):
                 raise ValueError(f"{name} must be positive and finite, got {length!r}")
 
     @classmethod

@@ -20,18 +20,21 @@ transform and the field, so the heap is not trimmed and refaulted on every
 call, and a slab's working set stays near the core's cache. `energy` reads
 f from `local_field`.
 
-Each tensor entry is a 64-corner alternating sum of a Newell potential. Its
-terms read the potential at only 27 distinct shifted offsets, so the single
-entry and the kernel build share one corner sum over a table of potential
-values: the entry tabulates its own 27 offsets, the build evaluates each
-potential once per distinct offset of the whole padded lattice. Both keep the
-sum's term order, so the kernel equals the entry bit for bit.
+Each tensor entry is Newell's alternating sum of a potential over the corners
+of two cells. Per axis the corners enter through their shift k = s - t with
+weights -1, 2, -1, so the sum is one second difference of the potential along
+each axis in turn, over 27 shifted offsets. The single entry and the kernel
+build share that second difference: the entry takes it over its own 27
+offsets, the build over a table holding each potential once per distinct
+offset of the whole padded lattice. Both take x, then y, then z, so the
+kernel equals the entry bit for bit. The difference is symmetric in its two
+outer shifts and the potentials are exactly even or odd, so every entry
+equals its reflection along each axis, up to the parity sign, exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .mesh import Grid
+from .mesh import Grid, is_number
 
 MU0 = 4.0e-7 * math.pi
 
@@ -70,9 +73,11 @@ class MaterialParams:
         # the range checks below
         if not isinstance(self.stray_enabled, (bool, np.bool_)):
             raise ValueError(f"stray_enabled must be a bool, got {self.stray_enabled!r}")
+        if not isinstance(self.h_ext, (tuple, list, np.ndarray)) or len(self.h_ext) != 3:
+            raise ValueError(f"h_ext must be a finite 3-vector, got {self.h_ext!r}")
         for name, value in (("eps", self.eps), ("alpha", self.alpha), ("q", self.q),
                             *(("h_ext entry", c) for c in self.h_ext)):
-            if isinstance(value, (bool, np.bool_)):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps!r}")
@@ -80,7 +85,7 @@ class MaterialParams:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if not (np.isfinite(self.q) and self.q >= 0):
             raise ValueError(f"q must be >= 0, got {self.q!r}")
-        if len(self.h_ext) != 3 or not np.all(np.isfinite(self.h_ext)):
+        if not np.all(np.isfinite(self.h_ext)):
             raise ValueError(f"h_ext must be a finite 3-vector, got {self.h_ext!r}")
 
     @property
@@ -101,7 +106,7 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("A", "Ms", "Ku", "gamma", "L"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not (is_number(v) and np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
 
 
@@ -134,13 +139,15 @@ def _newell_f(x, y, z):
 def _newell_g(x, y, z):
     z = np.abs(z)
     r = np.sqrt(x * x + y * y + z * z)
+    # arctan is odd, so the sign of y r moves out of it (y^2 sign y = y |y|)
+    # and _REG is added to |y| r: g stays exactly odd in x and in y
     return (
         x * y * z * np.arcsinh(z / (np.sqrt(x * x + y * y) + _REG))
         + y * (3.0 * z * z - y * y) / 6.0 * np.arcsinh(x / (np.sqrt(y * y + z * z) + _REG))
         + x * (3.0 * z * z - x * x) / 6.0 * np.arcsinh(y / (np.sqrt(x * x + z * z) + _REG))
         - z ** 3 / 6.0 * np.arctan(x * y / (z * r + _REG))
-        - 0.5 * z * y * y * np.arctan(x * z / (y * r + _REG))
-        - 0.5 * z * x * x * np.arctan(y * z / (x * r + _REG))
+        - 0.5 * z * y * np.abs(y) * np.arctan(x * z / (np.abs(y) * r + _REG))
+        - 0.5 * z * x * np.abs(x) * np.arctan(y * z / (np.abs(x) * r + _REG))
         - x * y * r / 3.0
     )
 
@@ -184,38 +191,40 @@ def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return F, F_inv
 
 
-def _corner_sum(value, spacing):
-    """The 64-corner alternating Newell sum over one pair of cells.
-
-    `value(kx, ky, kz)` returns the potential at the centre offset shifted by
-    k = s - t cell widths per axis, k in {-1, 0, 1}. Both the entry and the
-    kernel build accumulate through here, so they agree bit for bit.
+def _second_difference(minus, zero, plus):
+    """(zero - minus) + (zero - plus), the potential's second difference along
+    one axis over the shifts k = -1, 0, 1. Swapping minus and plus gives the
+    same bits, so a reflected offset gives the reflected entry exactly.
+    Subtracts in place: `minus` and `plus` must be arrays nothing else reads.
     """
-    hx, hy, hz = spacing
-    total = 0.0
-    for sx, sy, sz, tx, ty, tz in itertools.product((0, 1), repeat=6):
-        sign = (-1.0) ** (sx + sy + sz + tx + ty + tz)
-        total = total + sign * value(sx - tx, sy - ty, sz - tz)
-    return total / (4.0 * np.pi * hx * hy * hz)
+    np.subtract(zero, minus, out=minus)
+    np.subtract(zero, plus, out=plus)
+    return np.add(minus, plus, out=minus)
 
 
 def demag_tensor_entry(component: str, X, Y, Z, spacing) -> np.ndarray:
     """Cell-averaged demagnetization tensor entry for center offsets (X, Y, Z).
 
-    The 64-corner alternating sum of the Newell potential over one pair of
-    rectangular cells with the given spacing. The corner s and t enter only
-    through the shift s - t, so the potential is evaluated once at each of
-    the 27 shifted offsets and the shared corner sum reads it from that
-    table. The self entry (offset 0) has trace 1: for a cubic cell each
-    diagonal entry is 1/3.
+    Newell's alternating sum over the 8 corners of each of two rectangular
+    cells with the given spacing. Corners s and t enter only through the
+    shift k = s - t, with weight -1, 2, -1 for k = -1, 0, 1 on each axis, so
+    the sum is one second difference of the potential along x, then y, then
+    z, over its 27 shifted offsets. The self entry (offset 0) has trace 1:
+    for a cubic cell each diagonal entry is 1/3.
     """
     func, order = _COMPONENT_RECIPE[component]
     hx, hy, hz = spacing
-    table = {}
-    for k in itertools.product(_SHIFTS, repeat=3):
-        args = (X + k[0] * hx, Y + k[1] * hy, Z + k[2] * hz)
-        table[k] = func(args[order[0]], args[order[1]], args[order[2]])
-    return _corner_sum(lambda *k: table[k], spacing)
+
+    def potential(kx, ky, kz):
+        args = (X + kx * hx, Y + ky * hy, Z + kz * hz)
+        return np.asarray(func(args[order[0]], args[order[1]], args[order[2]]))
+
+    total = _second_difference(*(
+        _second_difference(*(
+            _second_difference(*(potential(kx, ky, kz) for kx in _SHIFTS))
+            for ky in _SHIFTS))
+        for kz in _SHIFTS))
+    return total / (4.0 * np.pi * hx * hy * hz)
 
 
 class DemagKernel:
@@ -260,10 +269,11 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     Per axis, the offsets D + k h (D the padded displacements, k in
     {-1, 0, 1}) are exactly the arguments `demag_tensor_entry` would form.
     Neighbouring displacements share most of them, so each component's
-    potential is evaluated once on the outer product of the distinct values,
-    and the corner sum gathers each term's block through the inverse
-    indices: the blocks equal the entry's bit for bit.
+    potential is evaluated once on the outer product of the distinct values.
+    The second difference along each axis in turn gathers its three shifts
+    through the inverse indices: the blocks equal the entry's bit for bit.
     """
+    hx, hy, hz = grid.spacing
     padded = tuple(1 if n == 1 else 2 * n for n in grid.shape)
     uniques, index = [], []
     for n, h in zip(grid.shape, grid.spacing):
@@ -273,25 +283,19 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
         index.append(inverse.reshape(shifted.shape))
     points = np.meshgrid(*uniques, indexing="ij", sparse=True)
     # the potential is evaluated in x slabs of at most one padded block each,
-    # so its temporaries stay no larger than the blocks the corner sum makes
+    # so its temporaries stay no larger than the gathered blocks
     rows = max(1, math.prod(padded) // (uniques[1].size * uniques[2].size))
     fft_components = {}
     self_diag = np.empty(3)
     for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
         func, order = _COMPONENT_RECIPE[comp]
-        table = np.empty(tuple(u.size for u in uniques))
-        for lo in range(0, table.shape[0], rows):
+        block = np.empty(tuple(u.size for u in uniques))
+        for lo in range(0, block.shape[0], rows):
             pts = (points[0][lo:lo + rows], points[1], points[2])
-            table[lo:lo + rows] = func(pts[order[0]], pts[order[1]], pts[order[2]])
-        # gathering along the contiguous z axis copies one value at a time,
-        # so that gather is made once per z shift; x and y copy whole runs
-        planes = [table.take(iz, axis=2) for iz in index[2]]
-        del table
-        block = _corner_sum(
-            lambda kx, ky, kz: planes[kz + 1].take(index[1][ky + 1], axis=1)
-                                             .take(index[0][kx + 1], axis=0),
-            grid.spacing)
-        del planes
+            block[lo:lo + rows] = func(pts[order[0]], pts[order[1]], pts[order[2]])
+        for axis, inverse in enumerate(index):
+            block = _second_difference(*[block.take(k, axis=axis) for k in inverse])
+        block /= 4.0 * np.pi * hx * hy * hz
         if i < 3:
             self_diag[i] = block[0, 0, 0]
         # rfftn takes the real transform over its last axis: x

@@ -40,7 +40,8 @@ and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
   step, and the refresh of row 3 adds a solve q_3. By linearity of L the
   next step's g, L^(-1)(2 m^(n+1) - m^n + dt f), is q + d with
   d = L^(-1)(m^n - m^(n-1)) carried alongside, and the next d is
-  (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0.
+  (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0; a step from a
+  state without them calls it first.
 
 `bdf2_reference_step` is a fully coupled semi-implicit solve used as a
 reference integrator.
@@ -85,9 +86,10 @@ class KrylovError(RuntimeError):
 class SchemeState:
     """Two magnetization time levels plus optional carried fields.
 
-    g_prev and d_prev are populated only for three-solve (scheme B) runs,
-    after :func:`scheme_b_init`: g_prev approximates L^(-1)(m_hat + dt f) at
-    the current extrapolation, d_prev approximates L^(-1)(m^n - m^(n-1)).
+    g_prev and d_prev are populated only for three-solve (scheme B) runs, by
+    :func:`scheme_b_init`, which the first such step calls: g_prev
+    approximates L^(-1)(m_hat + dt f) at the current extrapolation, d_prev
+    approximates L^(-1)(m^n - m^(n-1)).
     hs_prev and hs_curr are the stray fields h_s(m^(n-1)) and h_s(m^n) of
     runs with the stray field on; a state built without them gets them at
     its first step.
@@ -212,10 +214,11 @@ def split_step(state: SchemeState, params: MaterialParams,
                plan: spectral.SpectralPlan, dt: float, scheme: SplitScheme, *,
                kernel: DemagKernel | None, source) -> SchemeState:
     """One step of the split scheme `scheme`: the cyclic row sweep of the
-    module docstring, then the projection."""
-    if scheme.lagged and (state.g_prev is None or state.d_prev is None):
-        raise ValueError(f"{scheme.name} scheme requires scheme_b_init() first")
+    module docstring, then the projection. A lagged row given a state without
+    its lagged fields builds them first with `scheme_b_init`."""
     state = with_stray_field(state, params, kernel)
+    if scheme.lagged and (state.g_prev is None or state.d_prev is None):
+        state = scheme_b_init(state, params, plan, dt, kernel=kernel)
     src = _source_of(source, plan.grid, state.t + dt)
     h, f = _frozen_field(state, params, scheme.bdf2)
     a = params.eps * dt

@@ -188,6 +188,18 @@ class TestMainExitCodes:
         assert code == 3
         assert "blow-up" in capsys.readouterr().err
 
+    def test_unconverged_krylov_solve_is_3(self, tmp_path, capsys, monkeypatch):
+        # a real non-converging bdf2-ref run (8x8x1 random start, dt 100)
+        # takes about 19 s; a GMRES that reports failure reaches the same path
+        import scipy.sparse.linalg
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres",
+                            lambda A, b, x0=None, **kwargs: (x0, 500))
+        cfg_path = write_cfg(tmp_path, dict(SOLVE_UNIFORM, scheme="bdf2-ref",
+                                            n_steps=2))
+        code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "did not converge (info=500" in capsys.readouterr().err
+
 
 class TestConvergenceKindsViaRun:
     def test_converge_time_small(self):

@@ -54,7 +54,7 @@ class TestIntegrateArguments:
         with pytest.raises(ValueError, match="n_steps"):
             self.run(1e-3, n_steps)
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan, True])
     def test_step_size_must_be_finite_and_positive(self, dt):
         with pytest.raises(ValueError, match="dt"):
             self.run(dt, 3)

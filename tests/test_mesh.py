@@ -61,6 +61,8 @@ class TestGrid:
         # a bool is an int to Python: Grid.line(True) would build one cell
         dict(nx=True, ny=1, nz=1, lx=1.0, ly=1.0, lz=1.0),
         dict(nx=2, ny=True, nz=2, lx=1.0, ly=1.0, lz=1.0),
+        dict(nx=4, ny=4, nz=4, lx=True, ly=1.0, lz=1.0),
+        dict(nx=2, ny=1, nz=1, lx="1", ly=1.0, lz=1.0),
     ])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):

@@ -40,6 +40,10 @@ class TestNondimensionalize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PhysicalConstants(A=0.0, Ms=8e5, Ku=1e2, gamma=1.76e11, L=1e-6)
+        # not numbers: numpy's TypeError, or a bool taken for 1
+        for A in ("x", True):
+            with pytest.raises(ValueError, match="A must be positive"):
+                PhysicalConstants(A=A, Ms=8e5, Ku=1e2, gamma=1.76e11, L=1e-6)
 
 
 class TestMaterialParams:
@@ -54,12 +58,13 @@ class TestMaterialParams:
     @pytest.mark.parametrize("change", [
         dict(stray_enabled="no"), dict(stray_enabled=1), dict(stray_enabled=None),
         dict(eps=True), dict(alpha=True), dict(q=np.True_),
-        dict(h_ext=(0.0, True, 0.0)),
+        dict(h_ext=(0.0, True, 0.0)), dict(eps="x"), dict(h_ext=5),
     ], ids=["stray-string", "stray-int", "stray-none", "eps-bool", "alpha-bool",
-            "q-numpy-bool", "h_ext-bool"])
+            "q-numpy-bool", "h_ext-bool", "eps-string", "h_ext-scalar"])
     def test_flags_and_coefficients_are_not_interchangeable(self, change):
         # a truthy non-bool stray_enabled would switch the stray field on
-        with pytest.raises(ValueError):
+        name = next(iter(change))
+        with pytest.raises(ValueError, match=name):
             MaterialParams(**dict(dict(eps=1.0, alpha=0.1), **change))
 
     def test_numpy_bool_switches_the_stray_field(self):
@@ -105,6 +110,23 @@ class TestDemagTensor:
                           -demag_tensor_entry("xy", x, y, z, h), rtol=1e-10)
         assert np.isclose(demag_tensor_entry("xy", x, y, -z, h),
                           demag_tensor_entry("xy", x, y, z, h), rtol=1e-10)
+
+    def test_entries_reflect_exactly(self):
+        # each entry equals +- its reflection along every axis exactly (float
+        # equality, which is bit equality but for the sign of a zero):
+        # diagonal entries are even in each offset, an off-diagonal entry is
+        # odd in the two axes it names and even in the third
+        shape, h = (16, 12, 3), (1 / 64, 0.8 / 64, 0.02 / 3)
+        X, Y, Z = np.meshgrid(*(np.arange(-(n - 1), n) * hn
+                                for n, hn in zip(shape, h)),
+                              indexing="ij", sparse=True)
+        for comp in ("xx", "yy", "zz", "xy", "xz", "yz"):
+            entry = np.broadcast_to(demag_tensor_entry(comp, X, Y, Z, h),
+                                    tuple(2 * n - 1 for n in shape))
+            for axis, name in enumerate("xyz"):
+                sign = -1.0 if comp[0] != comp[1] and name in comp else 1.0
+                reflected = sign * np.flip(entry, axis=axis)
+                assert np.array_equal(entry, reflected), (comp, name)
 
     # odd and length-1 axes, and a non-dyadic hz whose shifted offsets differ
     # from the lattice nodes in the last bit
@@ -340,10 +362,12 @@ class TestDemagFactors:
         assert abs(total - 1.0) < 1e-15
         assert abs(_aharoni_dz(1, 1, 1) - 1 / 3) < 1e-16
 
-    # measured errors: cube 3e-14 to 1.4e-13, film 2e-14 to 4.8e-13
+    # measured errors: cube 6e-17 to 1.1e-16, film 8e-14 to 4.5e-13,
+    # thin film 4e-16 to 9e-16
     @pytest.mark.parametrize("shape,extent", [
         ((16, 16, 16), (1.0, 1.0, 1.0)), ((40, 20, 2), (2.0, 1.0, 0.1)),
-    ], ids=["cube", "film"])
+        ((64, 64, 3), (1.0, 1.0, 0.02)),
+    ], ids=["cube", "film", "thin-film"])
     def test_mean_field_is_aharoni_factor(self, shape, extent):
         g = Grid(*shape, *extent)
         k = build_demag_kernel(g)
@@ -354,6 +378,17 @@ class TestDemagFactors:
             m[i] = 1.0
             factor = -demag_field(k, m)[i].mean()
             assert abs(factor - exact[i]) < 1e-12, (i, factor, exact[i])
+
+    def test_square_film_factors_agree(self):
+        # x and y are interchangeable on a square film; measured 2.5e-15
+        g = Grid(64, 64, 3, 1.0, 1.0, 0.02)
+        k = build_demag_kernel(g)
+        factors = []
+        for i in range(2):
+            m = np.zeros((3,) + g.shape)
+            m[i] = 1.0
+            factors.append(-demag_field(k, m)[i].mean())
+        assert abs(factors[0] - factors[1]) < 1e-14 * factors[0], factors
 
 
 class TestLocalField:

@@ -282,12 +282,22 @@ class TestSchemeBInit:
                     <= np.linalg.norm(rhs[i]) * (1 + 1e-13))
             assert np.isclose(out.g_prev[i].mean(), rhs[i].mean(), rtol=1e-12)
 
-    def test_step_without_init_raises(self):
-        grid = Grid.line(4)
+    def test_step_without_lagged_fields_initializes_them(self):
+        # a three-solve step from a two-level state builds g^0 and d^0 itself
+        grid = Grid(6, 5, 2, 1.0, 1.0, 0.4)
         plan = build_plan(grid)
-        params = MaterialParams(eps=1.0, alpha=0.1)
-        with pytest.raises(ValueError, match="init"):
-            scheme_b_step(uniform_state(grid), params, plan, 0.01)
+        kernel = build_demag_kernel(grid)
+        params = MaterialParams(eps=0.7, alpha=0.1, q=0.5, h_ext=(0.3, -0.2, 0.5),
+                                stray_enabled=True)
+        dt = 0.05
+        st = SchemeState(m_prev=random_unit_field(grid, 6),
+                         m_curr=random_unit_field(grid, 7), t=dt, step_index=1)
+        direct = scheme_b_step(st, params, plan, dt, kernel=kernel)
+        init = scheme_b_init(st, params, plan, dt, kernel=kernel)
+        want = scheme_b_step(init, params, plan, dt, kernel=kernel)
+        for name in ("m_prev", "m_curr", "g_prev", "d_prev", "hs_prev", "hs_curr"):
+            assert (getattr(direct, name).tobytes()
+                    == getattr(want, name).tobytes()), name
 
 
 class TestSingleSpinPrecession:
