@@ -1,8 +1,9 @@
 """Thin-film relaxation with the full field: anisotropy + once-per-step stray.
 
 A 1 x 1 x 0.02 um permalloy-like film starts from in-plane stripes and
-relaxes under the five-solve scheme with the stray field evaluated once per
-step, on the projected state, and extrapolated from the last two steps. The
+relaxes under the five-solve scheme. The pointwise field (anisotropy and
+stray field) is evaluated once per step, on the projected state, and
+extrapolated from the last two steps; the energy record reads it. The
 energy decays overall at both strong and weak damping, but the scheme is not
 energy stable step by step: the demo counts the steps that raise it (none
 at alpha = 0.1 and one of 200 at alpha = 0.01 over the default 200 ps). The run writes energy.csv, timing.csv, and mid-plane VTK

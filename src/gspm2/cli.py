@@ -27,7 +27,7 @@ from . import convergence as conv
 from . import io as gio
 from .config import KINDS, ConfigError, ExperimentConfig, _checked, material_params
 from .manufactured import case_1d, case_3d, neel_wall_initial
-from .mesh import Grid, sample_vector
+from .mesh import Grid, pointwise_magnitude, sample_vector
 from .physics import (MaterialParams, PhysicalConstants, build_demag_kernel,
                       energy, nondimensionalize)
 from .schemes import BlowUpError, KrylovError
@@ -102,7 +102,7 @@ def _initial_field(grid: Grid, init: dict, seed: int) -> np.ndarray:
     # the remaining type, "random"
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((3,) + grid.shape)
-    return m / np.sqrt((m * m).sum(axis=0))
+    return m / pointwise_magnitude(m)
 
 
 def _run_stepping(cfg: ExperimentConfig, grid: Grid, params: MaterialParams,
@@ -111,12 +111,13 @@ def _run_stepping(cfg: ExperimentConfig, grid: Grid, params: MaterialParams,
     """Shared stepping run of the micromag and solve kinds.
 
     Builds the demag kernel if the stray field is on, then records the
-    energy after every step (its stray part from the field the step carries,
-    so a step costs one convolution), stepper wall time (exclusive of the
-    recording itself), and mid-plane snapshots every cfg.snapshot_every
-    steps (none for 0).
+    energy after every step (from the pointwise field f the step carries, so
+    a step costs one `local_field` call and one convolution), stepper wall
+    time (exclusive of the recording itself), and mid-plane snapshots every
+    cfg.snapshot_every steps (none for 0).
     Takes n_steps >= 1: the initial energy is recorded at the first step,
-    from the h_s(m0) that `integrate` seeded, so m0 is convolved once.
+    from the f(m0) that step evaluated and carries as f_prev, so m0 is
+    convolved once.
     `summary` gains the energies, the unit deviation and n_steps.
     """
     kernel = build_demag_kernel(grid) if params.stray_enabled else None
@@ -133,10 +134,10 @@ def _run_stepping(cfg: ExperimentConfig, grid: Grid, params: MaterialParams,
         timing_series.append((state.step_index, (time.perf_counter() - last) * 1e3))
         if state.step_index == 1:
             energy_series.append((0, 0.0, energy(params, grid, state.m_prev, kernel,
-                                                 stray=state.hs_prev)))
+                                                 field=state.f_prev)))
         energy_series.append((state.step_index, state.t,
                               energy(params, grid, state.m_curr, kernel,
-                                     stray=state.hs_curr)))
+                                     field=state.f_curr)))
         if cfg.snapshot_every and state.step_index % cfg.snapshot_every == 0:
             snapshots.append(
                 (state.step_index, state.m_curr[:, :, :, mid_k:mid_k + 1].copy()))

@@ -187,10 +187,20 @@ class ExperimentConfig:
             values = getattr(self, name)
             if values is None:
                 continue
-            if (not isinstance(values, (list, tuple)) or len(values) < min_len
-                    or not all(_is_positive(v) for v in values)):
+            if (not isinstance(values, (list, tuple))
+                    or not all(_is_positive(v) for v in values)
+                    or len(set(values)) < min_len):
                 raise ConfigError(f"{name} must be a list of at least {min_len} "
-                                  f"finite positive numbers, got {values!r}")
+                                  f"distinct finite positive numbers, got {values!r}")
+
+    def _steps(self, t_name: str, dt_name: str, dt):
+        """Reject a run of this config that would take no step, or a count
+        beyond floats: the run takes round(t_final / dt) steps."""
+        t_final = getattr(self, t_name)
+        steps = t_final / dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError(f"{self.kind} needs at least one step and a finite "
+                              f"count, got {t_name}={t_final!r}, {dt_name}={dt!r}")
 
     def _object(self, name: str, table: dict, where: str | None = None):
         """Resolve the nested object `name` against `table` in place."""
@@ -257,7 +267,7 @@ class ExperimentConfig:
         self._integer("n_steps", "rounds", "ref_divisor", minimum=1)
         self._integer("snapshot_every", minimum=0)
         self._integer("seed")
-        # an order is fitted from at least two runs
+        # an order is fitted from at least two runs of distinct step sizes
         self._positive_list("dt_list", "dx_list", "dt_divisors", min_len=2)
         self._positive_list("h_list", "domain", "cfl_bracket")
         # each divisor is also a run's step count; bools fail the check above
@@ -278,13 +288,13 @@ class ExperimentConfig:
             if len(self.cfl_bracket) != 2 or not self.cfl_bracket[0] < self.cfl_bracket[1]:
                 raise ConfigError(f"cfl_bracket must be [lo, hi] with lo < hi, "
                                   f"got {self.cfl_bracket!r}")
+        elif self.kind == "converge-time":
+            for dt in self.dt_list:
+                self._steps("t_final", "dt", dt)
+        elif self.kind == "converge-space":
+            self._steps("t_final", "dt", self.dt)
         elif self.kind == "micromag":
-            steps = self.t_final_seconds / self.dt_seconds
-            if not (math.isfinite(steps) and round(steps) >= 1):
-                raise ConfigError(f"micromag needs at least one step and a "
-                                  f"finite count, got "
-                                  f"t_final_seconds={self.t_final_seconds!r}, "
-                                  f"dt_seconds={self.dt_seconds!r}")
+            self._steps("t_final_seconds", "dt_seconds", self.dt_seconds)
             self._check_constants()
             self._check_initial()
         elif self.kind == "solve":

@@ -23,7 +23,7 @@ from .mesh import Grid, is_number, norm_inf, norm_l2, sample_vector
 from .physics import MaterialParams
 from .schemes import (BlowUpError, SchemeState, bdf2_reference_step, gspm1_step,
                       scheme_a_step, scheme_b_step, si2_step,
-                      unit_length_deviation, with_stray_field)
+                      unit_length_deviation)
 from .spectral import build_plan
 
 _STEPPERS = {
@@ -51,8 +51,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     Every scheme takes its first step with the first-order method (one such
     step costs only O(dt^2) globally); the three-solve scheme's first own
     step initializes its lagged fields from the first two levels.
-    With the stray field on, h_s(m0) is evaluated here, before the first
-    step; each step then evaluates it once, on its projected result.
+    With a local field, the first step evaluates f(m0), and each step then
+    evaluates f once, on its projected result.
     `on_step(state)` is called after every step; `step_kwargs` are forwarded
     to the named scheme's stepper (not the bootstrap), e.g. a Krylov `tol`.
     """
@@ -66,8 +66,7 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     if plan is None:
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]
-    state = with_stray_field(SchemeState.from_initial(np.asarray(m0, dtype=float)),
-                             params, kernel)
+    state = SchemeState.from_initial(np.asarray(m0, dtype=float))
     solves_before = plan.solve_count
     max_dev = 0.0
     for k in range(n_steps):
@@ -85,10 +84,12 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
 
 
 def observed_order(points) -> float:
-    """Least-squares slope of log(error) against log(step size)."""
+    """Least-squares slope of log(error) against log(step size); ValueError
+    unless the points hold at least two distinct step sizes."""
     pts = [(float(s), float(e)) for s, e in points]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points to fit an order")
+    if len({s for s, _ in pts}) < 2:
+        raise ValueError(f"need at least 2 distinct step sizes to fit an order, "
+                         f"got {[s for s, _ in pts]}")
     for s, e in pts:
         if not (s > 0 and e > 0):
             raise ValueError(f"steps and errors must be positive, got ({s}, {e})")

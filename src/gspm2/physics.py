@@ -17,8 +17,8 @@ per-line overhead. After the x transform, `demag_field` works through the
 x-modes in slabs of about _SLAB_BYTES per buffer, in buffers the kernel
 keeps from call to call: a call allocates only the x spectrum, the inverse x
 transform and the field, so the heap is not trimmed and refaulted on every
-call, and a slab's working set stays near the core's cache. `energy` reads
-f from `local_field`.
+call, and a slab's working set stays near the core's cache. `local_field`
+is its one caller; `energy` reads f from it or from an integrator's state.
 
 Each tensor entry is Newell's alternating sum of a potential over the corners
 of two cells. Per axis the corners enter through their shift k = s - t with
@@ -385,27 +385,24 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
 
 
 def local_field(params: MaterialParams, m: np.ndarray,
-                kernel: DemagKernel | None = None, *,
-                stray: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise effective-field part f(m) = -q(m2 e2 + m3 e3) + h_ext + h_s.
-
-    `stray`, when given, is taken as h_s(m) in place of a convolution; the
-    integrators pass the stray field they carry from step to step.
-    """
-    f = np.zeros_like(np.asarray(m, dtype=float))
-    if params.q != 0.0:
-        f[1] -= params.q * m[1]
-        f[2] -= params.q * m[2]
-    if any(c != 0.0 for c in params.h_ext):
-        f += np.asarray(params.h_ext, dtype=float)[:, None, None, None]
-    if params.stray_enabled:
-        f += demag_field(kernel, m) if stray is None else stray
+                kernel: DemagKernel | None = None) -> np.ndarray:
+    """Pointwise effective-field part f(m) = -q(m2 e2 + m3 e3) + h_ext + h_s,
+    built in the array `demag_field` returns (a zero one without h_s). Each
+    component adds h_ext_i - q m_i, formed first: f rounds as h_s + (h_ext -
+    q m) whichever parts are on."""
+    m = np.asarray(m, dtype=float)
+    f = demag_field(kernel, m) if params.stray_enabled else np.zeros(m.shape)
+    for i, h in enumerate(params.h_ext):
+        if i > 0 and params.q != 0.0:
+            f[i] += float(h) - params.q * m[i]
+        elif h != 0.0:
+            f[i] += float(h)
     return f
 
 
 def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
            kernel: DemagKernel | None = None, *,
-           stray: np.ndarray | None = None) -> float:
+           field: np.ndarray | None = None) -> float:
     """Dimensionless free energy of a unit-magnetization field.
 
     (1/2) sum of [eps |grad_h m|^2 - (f(m) + h_ext).m] per cell volume, f
@@ -414,8 +411,9 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     (each face once), which pairs with the mirrored Laplacian under
     summation by parts, and h_s is linear and symmetric in m, so the
     gradient of this functional is exactly -(eps Lap m + f(m)) vol: it is the
-    Lyapunov functional of the dynamics the integrators discretize. `stray`,
-    when given, is taken as h_s(m) in place of a convolution.
+    Lyapunov functional of the dynamics the integrators discretize. `field`,
+    when given, is taken as f(m) in place of a `local_field` call; it is
+    only read, so a state's carried f can be passed.
     """
     m = np.asarray(m, dtype=float)
     mag2 = (m * m).sum(axis=0)
@@ -429,7 +427,7 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
             d = np.diff(m, axis=axis + 1) / h
             total += 0.5 * params.eps * (d * d).sum() * vol
     if params.has_local_field:
-        f = local_field(params, m, kernel, stray=stray)
-        f += np.asarray(params.h_ext, dtype=float)[:, None, None, None]
+        f = local_field(params, m, kernel) if field is None else field
+        f = f + np.asarray(params.h_ext, dtype=float)[:, None, None, None]
         total -= 0.5 * (f * m).sum() * vol
     return float(total)

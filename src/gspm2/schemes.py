@@ -46,14 +46,14 @@ and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
 `bdf2_reference_step` is a fully coupled semi-implicit solve used as a
 reference integrator.
 
-The pointwise field f(m) (anisotropy, applied, stray) enters each step once,
-at the extrapolated state, and is never refreshed inside the Gauss-Seidel
-sweep. Anisotropy and the applied field are evaluated at m_hat directly. The
-stray field is linear in m, so h_s(m_hat) = 2 h_s(m^n) - h_s(m^(n-1)) exactly
-in exact arithmetic: the state carries h_s of its two levels, and each step
-evaluates the stray field once, by one convolution of the projected
-m^(n+1) in `_finish`. The first-order step uses h_s(m^n) as carried. Runs
-without a stray field carry nothing and call `local_field` as before.
+The pointwise field f(m) = -q (m2 e2 + m3 e3) + h_ext + h_s(m) (anisotropy,
+applied, stray) enters each step once, at the extrapolated state, and is
+never refreshed inside the Gauss-Seidel sweep. f is affine in m, so
+f(m_hat) = 2 f(m^n) - f(m^(n-1)) in exact arithmetic: the state carries f of
+its two levels, and each step evaluates f once, by one `local_field` call
+(and so at most one convolution) on the projected m^(n+1) in `_finish`. The
+first-order step uses f(m^n) as carried. A state without the pair gets it at
+its first step; runs without a local field carry nothing.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .mesh import laplacian
-from .physics import DemagKernel, MaterialParams, demag_field, local_field
+from .mesh import laplacian, pointwise_magnitude
+from .physics import DemagKernel, MaterialParams, local_field
 
 BLOWUP_MAGNITUDE = 10.0
 PROJECTION_FLOOR = 1e-12
@@ -90,9 +90,9 @@ class SchemeState:
     :func:`scheme_b_init`, which the first such step calls: g_prev
     approximates L^(-1)(m_hat + dt f) at the current extrapolation, d_prev
     approximates L^(-1)(m^n - m^(n-1)).
-    hs_prev and hs_curr are the stray fields h_s(m^(n-1)) and h_s(m^n) of
-    runs with the stray field on; a state built without them gets them at
-    its first step.
+    f_prev and f_curr are the pointwise fields f(m^(n-1)) and f(m^n) of runs
+    with a local field; a state built without them gets them at its first
+    step.
     """
 
     m_prev: np.ndarray
@@ -101,8 +101,8 @@ class SchemeState:
     step_index: int = 0
     g_prev: np.ndarray | None = None
     d_prev: np.ndarray | None = None
-    hs_prev: np.ndarray | None = None
-    hs_curr: np.ndarray | None = None
+    f_prev: np.ndarray | None = None
+    f_curr: np.ndarray | None = None
 
     @classmethod
     def from_initial(cls, m0: np.ndarray) -> "SchemeState":
@@ -117,7 +117,7 @@ def extrapolate(m_prev: np.ndarray, m_curr: np.ndarray) -> np.ndarray:
 
 
 def _normalized(m: np.ndarray, context: str, magnitude_cap: float | None) -> np.ndarray:
-    mag = np.sqrt((m * m).sum(axis=0))
+    mag = pointwise_magnitude(m)
     if not np.isfinite(mag).all():
         raise BlowUpError(f"non-finite magnetization in {context}")
     if magnitude_cap is not None and mag.max() > magnitude_cap:
@@ -144,34 +144,30 @@ def project(m: np.ndarray) -> np.ndarray:
 
 def unit_length_deviation(m: np.ndarray) -> float:
     """max over cells of ||m| - 1|; at most a few machine epsilons post-projection."""
-    mag = np.sqrt((m * m).sum(axis=0))
-    return float(np.abs(mag - 1.0).max())
+    return float(np.abs(pointwise_magnitude(m) - 1.0).max())
 
 
-def with_stray_field(state: SchemeState, params: MaterialParams,
-                     kernel: DemagKernel | None) -> SchemeState:
-    """The state with h_s of both levels filled in, if the run has a stray
-    field and the state lacks them; one convolution when the levels are the
+def _with_field(state: SchemeState, params: MaterialParams,
+                kernel: DemagKernel | None) -> SchemeState:
+    """The state with f of both levels filled in, if the run has a local
+    field and the state lacks them; one evaluation when the levels are the
     same array (an initial state), two otherwise."""
-    if not params.stray_enabled or state.hs_curr is not None:
+    if not params.has_local_field or state.f_curr is not None:
         return state
-    hs_curr = demag_field(kernel, state.m_curr)
-    hs_prev = (hs_curr if state.m_prev is state.m_curr
-               else demag_field(kernel, state.m_prev))
-    return replace(state, hs_prev=hs_prev, hs_curr=hs_curr)
+    f_curr = local_field(params, state.m_curr, kernel)
+    f_prev = (f_curr if state.m_prev is state.m_curr
+              else local_field(params, state.m_prev, kernel))
+    return replace(state, f_prev=f_prev, f_curr=f_curr)
 
 
-def _frozen_field(state: SchemeState, params: MaterialParams,
+def _frozen_field(state: SchemeState,
                   bdf2: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """h, the state the step freezes f at (m_hat for a second-order step, m^n
-    otherwise), and f(h), None without a local field. The stray part of
-    f(m_hat) is 2 h_s(m^n) - h_s(m^(n-1)), from the carried pair."""
-    if bdf2:
-        h = extrapolate(state.m_prev, state.m_curr)
-        stray = None if state.hs_curr is None else 2.0 * state.hs_curr - state.hs_prev
-    else:
-        h, stray = state.m_curr, state.hs_curr
-    return h, local_field(params, h, stray=stray) if params.has_local_field else None
+    otherwise), and f(h) from the carried pair, None without a local field."""
+    if not bdf2:
+        return state.m_curr, state.f_curr
+    h = extrapolate(state.m_prev, state.m_curr)
+    return h, None if state.f_curr is None else 2.0 * state.f_curr - state.f_prev
 
 
 def _source_of(source, grid, t: float) -> np.ndarray | None:
@@ -184,13 +180,13 @@ def _source_of(source, grid, t: float) -> np.ndarray | None:
 def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
             params: MaterialParams, kernel, g_prev=None,
             d_prev=None) -> SchemeState:
-    """Project onto the sphere; evaluate the step's one stray field on the
-    projected m^(n+1) and shift the carried pair along."""
+    """Project onto the sphere; evaluate the step's one pointwise field on
+    the projected m^(n+1) and shift the carried pair along."""
     m_next = _normalized(m_star, context, BLOWUP_MAGNITUDE)
-    hs_next = demag_field(kernel, m_next) if params.stray_enabled else None
+    f_next = local_field(params, m_next, kernel) if params.has_local_field else None
     return SchemeState(m_prev=state.m_curr, m_curr=m_next, t=state.t + dt,
                        step_index=state.step_index + 1, g_prev=g_prev,
-                       d_prev=d_prev, hs_prev=state.hs_curr, hs_curr=hs_next)
+                       d_prev=d_prev, f_prev=state.f_curr, f_curr=f_next)
 
 
 @dataclass(frozen=True)
@@ -216,11 +212,11 @@ def split_step(state: SchemeState, params: MaterialParams,
     """One step of the split scheme `scheme`: the cyclic row sweep of the
     module docstring, then the projection. A lagged row given a state without
     its lagged fields builds them first with `scheme_b_init`."""
-    state = with_stray_field(state, params, kernel)
+    state = _with_field(state, params, kernel)
     if scheme.lagged and (state.g_prev is None or state.d_prev is None):
         state = scheme_b_init(state, params, plan, dt, kernel=kernel)
     src = _source_of(source, plan.grid, state.t + dt)
-    h, f = _frozen_field(state, params, scheme.bdf2)
+    h, f = _frozen_field(state, scheme.bdf2)
     a = params.eps * dt
     b = a * a if scheme.bdf2 else 0.0
 
@@ -286,8 +282,8 @@ def scheme_b_init(state: SchemeState, params: MaterialParams,
     included. Expects a state holding m^0 and m^1 (the latter from one
     first-order bootstrap step). Six solves, once per run.
     """
-    state = with_stray_field(state, params, kernel)
-    m_hat, f = _frozen_field(state, params, SCHEME_B.bdf2)
+    state = _with_field(state, params, kernel)
+    m_hat, f = _frozen_field(state, SCHEME_B.bdf2)
     a = params.eps * dt
     d0 = spectral.solve(plan, state.m_curr - state.m_prev, a, a * a)
     g0 = spectral.solve(plan, m_hat if f is None else m_hat + dt * f, a, a * a)
@@ -312,14 +308,16 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     (eps Lap m))] = 2 m^n - (1/2) m^(n-1) - dt [same torque applied to
     f(m_hat)] + dt g for the three coupled components, preconditioned by the
     per-component heat solve (I - (2/3) eps dt Lap)^(-1), then projects.
+    Raises KrylovError, naming the relative residual, when GMRES ends
+    unconverged or as soon as a restart cycle does not lower the residual.
     """
     # imported here, not with the module: it adds about 10 MB to the resident
     # memory of every process, and only this reference scheme uses it
     import scipy.sparse.linalg
 
-    state = with_stray_field(state, params, kernel)
+    state = _with_field(state, params, kernel)
     grid = plan.grid
-    m_hat, phi = _frozen_field(state, params, bdf2=True)
+    m_hat, phi = _frozen_field(state, bdf2=True)
     src = _source_of(source, grid, state.t + dt)
     al = params.alpha
 
@@ -348,12 +346,30 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     A = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=matvec)
     M = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=precondition)
     b_flat = rhs.ravel()
+    b_norm = max(np.linalg.norm(b_flat), 1e-300)
+    last = np.inf
+
+    def relative_residual(x):
+        return float(np.linalg.norm(b_flat - A.matvec(x)) / b_norm)
+
+    def stall_check(x):
+        """Called after each restart cycle: one that ends above tol without
+        lowering the residual has stalled, so the solve fails there rather
+        than running out its remaining cycles."""
+        nonlocal last
+        residual = relative_residual(x)
+        if residual > tol and residual >= last:
+            raise KrylovError(
+                f"coupled BDF2 solve stalled at relative residual "
+                f"{residual:.3e} at step {state.step_index}", residual)
+        last = residual
+
     sol, info = scipy.sparse.linalg.gmres(
         A, b_flat, x0=m_hat.ravel(), rtol=tol, atol=0.0,
-        restart=min(50, nflat), maxiter=500, M=M)
+        restart=min(50, nflat), maxiter=500, M=M, callback=stall_check,
+        callback_type="x")
     if info != 0:
-        residual = float(np.linalg.norm(b_flat - A.matvec(sol))
-                         / max(np.linalg.norm(b_flat), 1e-300))
+        residual = relative_residual(sol)
         raise KrylovError(
             f"coupled BDF2 solve did not converge (info={info}, relative "
             f"residual {residual:.3e}) at step {state.step_index}", residual)

@@ -98,9 +98,19 @@ class TestRunMicromag:
 
     def test_one_convolution_per_step(self, demag_calls):
         rec = run(ExperimentConfig.from_dict(MICROMAG_SMALL))
-        # the integrator's h_s(m0), which the initial energy reuses, then one
-        # per step; the energy after each step reuses the step's stray field
+        # the first step's f(m0), which the initial energy reuses, then one
+        # per step; the energy after each step reuses the step's field
         assert len(demag_calls) == rec.summary["n_steps"] + 1
+
+    def test_one_local_field_per_step(self, local_field_calls, demag_calls):
+        # f(m0) at the first step and f(m^(n+1)) at the end of every step;
+        # the energy record reads the carried field and evaluates none
+        rec = run(ExperimentConfig.from_dict(dict(MICROMAG_SMALL,
+                                                  grid=[8, 8, 2],
+                                                  t_final_seconds=6e-12)))
+        assert rec.summary["n_steps"] == 6
+        assert len(local_field_calls) == 7
+        assert len(demag_calls) == 7
 
 
 class TestMainExitCodes:
@@ -142,10 +152,19 @@ class TestMainExitCodes:
         # scheme-b is already unstable at the low end of the bracket
         {"kind": "stability", "scheme": "scheme-b", "h_list": [0.1],
          "cfl_bracket": [0.5, 1.0], "t_final": 0.2},
+        # studies that cannot fit an order: runs of no step died in the fit,
+        # and a repeated step size fitted a slope from one point
+        {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.5, 0.25]},
+        {"kind": "converge-space", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dt": 0.5, "t_final": 0.1, "dx_list": [0.25, 0.125]},
+        {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.001, 0.001]},
     ], ids=["infinite-duration", "one-step-size", "params-eps-string",
             "constants-negative", "initial-string", "integer-beyond-float",
             "time-dx-off-domain", "space-dx-off-domain", "stability-h-off-domain",
-            "2d-dx-off-domain", "bracket-not-straddling"])
+            "2d-dx-off-domain", "bracket-not-straddling", "time-no-step",
+            "space-no-step", "time-repeated-step"])
     def test_config_numbers_that_crash_a_run_are_2(self, tmp_path, capsys, payload):
         cfg_path = write_cfg(tmp_path, payload)
         assert main([payload["kind"], "--config", cfg_path,
@@ -187,6 +206,28 @@ class TestMainExitCodes:
         code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "blow-up" in capsys.readouterr().err
+
+    def test_stalled_krylov_solve_fails_fast(self, tmp_path, capsys, monkeypatch):
+        # GMRES stalls just above its 1e-12 tolerance on this run; it used to
+        # spend all 500 restart cycles there before failing
+        import scipy.sparse.linalg
+        gmres, cycles = scipy.sparse.linalg.gmres, []
+
+        def counted(*args, callback, **kwargs):
+            def wrapped(x):
+                cycles.append(1)
+                return callback(x)
+            return gmres(*args, callback=wrapped, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted)
+        payload = {"kind": "solve", "scheme": "bdf2-ref", "grid": [8, 8, 1],
+                   "params": {"eps": 1.0, "alpha": 0.1},
+                   "initial": {"type": "random"}, "dt": 100, "n_steps": 2}
+        cfg_path = write_cfg(tmp_path, payload)
+        code = main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "stalled at relative residual" in capsys.readouterr().err
+        assert 1 <= len(cycles) < 50
 
     def test_unconverged_krylov_solve_is_3(self, tmp_path, capsys, monkeypatch):
         # a real non-converging bdf2-ref run (8x8x1 random start, dt 100)

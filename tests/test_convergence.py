@@ -38,6 +38,9 @@ class TestObservedOrder:
             observed_order([(0.1, 1e-3), (0.05, 0.0)])
         with pytest.raises(ValueError):
             observed_order([(0.1, 1e-3), (-0.05, 1e-4)])
+        # one step size repeated fits no slope
+        with pytest.raises(ValueError, match="2 distinct step sizes"):
+            observed_order([(0.001, 1e-3), (0.001, 2e-3)])
 
 
 class TestIntegrateArguments:

@@ -3,7 +3,7 @@
 Five schemes run through `integrate` on five small input families: exchange
 only; anisotropy plus an applied field; the sourced 1D bump; the sourced 3D
 case; a 6x5x2 film with the stray field on. The final m_curr, m_prev and the
-carried fields (g_prev, d_prev, hs_prev, hs_curr, where a run has them) and
+carried fields (g_prev, d_prev, f_prev, f_curr, where a run has them) and
 the solve count must equal the stored ones exactly, so a refactor of the
 integrators that changes a single rounding fails here.
 
@@ -31,7 +31,7 @@ from gspm2.physics import MaterialParams, build_demag_kernel
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_schemes.npz")
 SCHEMES = ("gspm1", "si2", "scheme-a", "scheme-b", "bdf2-ref")
 FAMILIES = ("exchange", "field", "mms-1d", "mms-3d", "stray-film")
-FIELDS = ("m_curr", "m_prev", "g_prev", "d_prev", "hs_prev", "hs_curr")
+FIELDS = ("m_curr", "m_prev", "g_prev", "d_prev", "f_prev", "f_curr")
 N_STEPS = 5
 
 

@@ -175,6 +175,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="finite|at least"):
             ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
 
+    # studies that could not fit an order: a run of no step, or fewer than
+    # two distinct step sizes; (kind, change, message)
+    BAD_STUDIES = [
+        ("converge-time", {"t_final": 0.1, "dt_list": [0.5, 0.25]},
+         r"converge-time needs at least one step .* t_final=0.1, dt=0.5"),
+        ("converge-space", {"t_final": 0.1, "dt": 0.5},
+         r"converge-space needs at least one step .* t_final=0.1, dt=0.5"),
+        ("converge-time", {"dt_list": [0.001, 0.001]},
+         r"dt_list must be a list of at least 2 distinct"),
+        ("converge-space", {"dx_list": [0.1, 0.1, 0.1]},
+         r"dx_list must be a list of at least 2 distinct"),
+        ("converge-2d", {"dt_divisors": [10, 10]},
+         r"dt_divisors must be a list of at least 2 distinct"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,change,message", BAD_STUDIES,
+        ids=[f"{k}-{'-'.join(f'{n}={v}' for n, v in c.items())}"
+             for k, c, _ in BAD_STUDIES])
+    def test_study_that_cannot_fit_an_order(self, kind, change, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
+
     def test_removed_fields_are_unknown(self):
         for name, value in (("error_cap", 0.5), ("full_scale_grid", [8, 8, 2])):
             with pytest.raises(ConfigError, match="unknown config fields"):

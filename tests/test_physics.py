@@ -412,14 +412,51 @@ class TestLocalField:
         f = local_field(params, m)
         assert np.allclose(f[2], 0.5) and np.abs(f[[0, 1]]).max() == 0.0
 
-    def test_given_stray_field_replaces_the_convolution(self):
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_equals_the_term_by_term_sum(self, stray):
+        # the reference: -q m on a zero array, then h_ext, then h_s
         g = Grid(3, 2, 2, 1.0, 1.0, 0.5)
-        params = MaterialParams(eps=1.0, alpha=0.1, q=0.4, stray_enabled=True)
-        k = build_demag_kernel(g)
+        params = MaterialParams(eps=1.0, alpha=0.1, q=0.3, h_ext=(0.2, -0.1, 0.0),
+                                stray_enabled=stray)
+        k = build_demag_kernel(g) if stray else None
         m = np.random.default_rng(24).standard_normal((3,) + g.shape)
-        hs = demag_field(k, m)
-        assert np.array_equal(local_field(params, m, stray=hs),
-                              local_field(params, m, k))
+        want = np.zeros_like(m)
+        want[1] -= params.q * m[1]
+        want[2] -= params.q * m[2]
+        want += np.asarray(params.h_ext)[:, None, None, None]
+        if stray:
+            want += demag_field(k, m)
+        assert np.array_equal(local_field(params, m, k), want)
+
+    # (grid, params, seed): the golden stray film and field family
+    CARRIED = {
+        "stray-film": (Grid(6, 5, 2, 1.0, 0.8, 0.1),
+                       MaterialParams(eps=0.05, alpha=0.1, q=0.3,
+                                      h_ext=(0.0, 0.1, 0.0), stray_enabled=True),
+                       31),
+        "field": (Grid(4, 3, 2, 1.0, 0.75, 0.5),
+                  MaterialParams(eps=1.0, alpha=0.1, q=2.0, h_ext=(0.0, 0.5, 0.0)),
+                  11),
+    }
+
+    @pytest.mark.parametrize("family", sorted(CARRIED))
+    @pytest.mark.parametrize("scheme", ["gspm1", "si2", "scheme-a", "scheme-b",
+                                        "bdf2-ref"])
+    def test_carried_field_is_the_evaluated_one(self, scheme, family):
+        # after the bootstrap and one step of the scheme, the carried f is
+        # f(m^n) bit for bit, and the energy read from it is the energy
+        from gspm2.convergence import integrate
+        g, params, seed = self.CARRIED[family]
+        k = build_demag_kernel(g) if params.stray_enabled else None
+        rng = np.random.default_rng(seed)
+        m0 = rng.standard_normal((3,) + g.shape)
+        m0 /= np.sqrt((m0 * m0).sum(axis=0))
+        state = integrate(scheme, m0, g, params, 1e-3, 2, kernel=k).state
+        assert np.array_equal(state.f_curr, local_field(params, state.m_curr, k))
+        carried = state.f_curr.copy()
+        assert (energy(params, g, state.m_curr, k, field=state.f_curr)
+                == energy(params, g, state.m_curr, k))
+        assert np.array_equal(state.f_curr, carried)
 
     def test_missing_kernel_raises(self):
         g = Grid(2, 2, 1, 1.0, 1.0, 1.0)
@@ -474,7 +511,8 @@ class TestEnergy:
         e = energy(params, g, m, k)
         assert np.isclose(e, -0.5 * (hs * m).sum() * g.cell_volume, rtol=1e-12)
         assert e > 0.0   # out-of-plane film pays stray-field energy
-        assert energy(params, g, m, stray=hs) == e
+        # with the stray field alone, f is h_s
+        assert energy(params, g, m, field=hs) == e
 
     def test_gradient_is_minus_effective_field(self):
         # energy() is the Lyapunov functional of the dynamics: its derivative

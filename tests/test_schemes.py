@@ -142,10 +142,10 @@ class TestPlainStepIsTheUnrefreshedSweep:
     two agree because m_hat x (g - m_hat) = m_hat x g."""
 
     @staticmethod
-    def oracle(state, params, plan, dt, stray=None, source=None):
+    def oracle(state, params, plan, dt, kernel=None, source=None):
         m_hat = 2.0 * state.m_curr - state.m_prev
         a = params.eps * dt
-        phi = physics.local_field(params, m_hat, stray=stray)
+        phi = physics.local_field(params, m_hat, kernel)
         G = spectral.solve(plan, m_hat + dt * phi, a, a * a) - m_hat
         dot = (m_hat * G).sum(axis=0)
         hat2 = (m_hat * m_hat).sum(axis=0)
@@ -175,13 +175,12 @@ class TestPlainStepIsTheUnrefreshedSweep:
     def test_stray_film(self):
         grid, params, kernel = stray_film()
         plan = build_plan(grid)
-        st = schemes.with_stray_field(
-            SchemeState(m_prev=random_unit_field(grid, 53),
-                        m_curr=random_unit_field(grid, 54)), params, kernel)
+        st = SchemeState(m_prev=random_unit_field(grid, 53),
+                         m_curr=random_unit_field(grid, 54))
         dt = 1e-3
+        # the step extrapolates the carried f; the oracle evaluates f(m_hat)
         got = si2_step(st, params, plan, dt, kernel=kernel).m_curr
-        want = self.oracle(st, params, plan, dt,
-                           stray=2.0 * st.hs_curr - st.hs_prev)
+        want = self.oracle(st, params, plan, dt, kernel=kernel)
         assert np.abs(got - want).max() <= 1e-14
 
 
@@ -192,7 +191,7 @@ class TestCarriedStrayField:
         seen = []
         integrate(name, random_unit_field(grid, 31), grid, params, 1e-3, 6,
                   kernel=kernel, on_step=lambda st: seen.append(len(demag_calls)))
-        # h_s(m0) before the first step, then one per step
+        # f(m0) in the first step, then one f(m^(n+1)) per step
         assert seen == [2, 3, 4, 5, 6, 7]
 
     @pytest.mark.parametrize("name", sorted(ALL_STEPPERS))
@@ -200,10 +199,13 @@ class TestCarriedStrayField:
         grid, params, kernel = stray_film()
         m0 = random_unit_field(grid, 32)
         carried = integrate(name, m0, grid, params, 1e-3, 6, kernel=kernel)
-        # the same run with f(m_hat) convolved afresh at every evaluation
-        monkeypatch.setattr(schemes, "local_field",
-                            lambda p, m, k=None, *, stray=None:
-                            physics.local_field(p, m, kernel))
+
+        def fresh_field(state, bdf2):
+            """f evaluated afresh at the state the step freezes it at."""
+            h = extrapolate(state.m_prev, state.m_curr) if bdf2 else state.m_curr
+            return h, physics.local_field(params, h, kernel)
+
+        monkeypatch.setattr(schemes, "_frozen_field", fresh_field)
         fresh = integrate(name, m0, grid, params, 1e-3, 6, kernel=kernel)
         assert np.abs(carried.state.m_curr - fresh.state.m_curr).max() <= 1e-12
 
@@ -214,20 +216,21 @@ class TestCarriedStrayField:
         out = scheme_a_step(SchemeState(m_prev=m0, m_curr=m1), params, plan,
                             1e-3, kernel=kernel)
         filled = SchemeState(m_prev=m0, m_curr=m1,
-                             hs_prev=physics.demag_field(kernel, m0),
-                             hs_curr=physics.demag_field(kernel, m1))
+                             f_prev=physics.local_field(params, m0, kernel),
+                             f_curr=physics.local_field(params, m1, kernel))
         assert np.array_equal(
             out.m_curr,
             scheme_a_step(filled, params, plan, 1e-3, kernel=kernel).m_curr)
-        assert np.array_equal(out.hs_prev, filled.hs_curr)
-        assert np.array_equal(out.hs_curr, physics.demag_field(kernel, out.m_curr))
+        assert np.array_equal(out.f_prev, filled.f_curr)
+        assert np.array_equal(out.f_curr,
+                              physics.local_field(params, out.m_curr, kernel))
 
-    def test_stray_free_state_carries_nothing(self):
+    def test_field_free_state_carries_nothing(self):
         grid = Grid(6, 5, 2, 1.0, 0.8, 0.1)
-        params = MaterialParams(eps=0.05, alpha=0.1, q=0.3)
+        params = MaterialParams(eps=0.05, alpha=0.1)
         res = integrate("scheme-a", random_unit_field(grid, 35), grid, params,
                         1e-3, 3)
-        assert res.state.hs_prev is None and res.state.hs_curr is None
+        assert res.state.f_prev is None and res.state.f_curr is None
 
 
 class TestSchemeBInit:
@@ -295,7 +298,7 @@ class TestSchemeBInit:
         direct = scheme_b_step(st, params, plan, dt, kernel=kernel)
         init = scheme_b_init(st, params, plan, dt, kernel=kernel)
         want = scheme_b_step(init, params, plan, dt, kernel=kernel)
-        for name in ("m_prev", "m_curr", "g_prev", "d_prev", "hs_prev", "hs_curr"):
+        for name in ("m_prev", "m_curr", "g_prev", "d_prev", "f_prev", "f_curr"):
             assert (getattr(direct, name).tobytes()
                     == getattr(want, name).tobytes()), name
 
