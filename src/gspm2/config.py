@@ -105,7 +105,7 @@ def _checked(where: str, make, *args, **kwargs):
 def material_params(params: dict) -> MaterialParams:
     """The solve kind's material model from its resolved `params` object."""
     return MaterialParams(eps=params["eps"], alpha=params["alpha"], q=params["q"],
-                          h_ext=tuple(params["h_ext"]),
+                          h_ext=params["h_ext"],
                           stray_enabled=params["stray"])
 
 
@@ -230,7 +230,8 @@ class ExperimentConfig:
     def _check_initial(self):
         init = self.initial
         kind = init.get("type") if isinstance(init, dict) else None
-        if kind not in INITIAL_FIELDS:
+        # tuples, not the tables: a list value is unhashable, not unknown
+        if kind not in tuple(INITIAL_FIELDS):
             raise ConfigError(f"initial must be an object whose type is one of "
                               f"{tuple(INITIAL_FIELDS)}, got {init!r}")
         self._object("initial", dict(INITIAL_FIELDS[kind], type=REQUIRED),
@@ -249,7 +250,7 @@ class ExperimentConfig:
                               f"got {self.initial['eta']!r}")
 
     def validate(self):
-        if self.kind not in KIND_FIELDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         given = {f.name: getattr(self, f.name) for f in fields(self)
                  if f.name != "kind" and getattr(self, f.name) is not None}
@@ -257,7 +258,7 @@ class ExperimentConfig:
                                     f"kind {self.kind!r}").items():
             setattr(self, name, value)
 
-        if self.scheme not in _STEPPERS:
+        if self.scheme not in tuple(_STEPPERS):
             raise ConfigError(f"unknown scheme {self.scheme!r}, "
                               f"expected one of {tuple(_STEPPERS)}")
         if self.case is not None and self.case not in CASES:

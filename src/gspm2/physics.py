@@ -12,13 +12,14 @@ zero-padded FFT convolution on the doubled grid. As in MuMax3 (A.
 Vansteenkiste et al., AIP Adv. 4, 107133 (2014)), x, the longest padded axis
 of a film, takes the real transform, which halves the spectra; y and z take
 complex ones. The z axis, the thickness of a film, is transformed by one
-product with a cached DFT matrix, which on a few cells beats pocketfft's
-per-line overhead. After the x transform, `demag_field` works through the
-x-modes in slabs of about _SLAB_BYTES per buffer, in buffers the kernel
-keeps from call to call: a call allocates only the x spectrum, the inverse x
-transform and the field, so the heap is not trimmed and refaulted on every
-call, and a slab's working set stays near the core's cache. `local_field`
-is its one caller; `energy` reads f from it or from an integrator's state.
+product with a DFT matrix, which on a few cells beats pocketfft's per-line
+overhead. After the x transform, `demag_field` works through the x-modes in
+slabs of about _SLAB_BYTES per buffer. The kernel is built with its z matrix
+pair, slabs and buffers, so a call allocates only the x spectrum, the
+inverse x transform and the field: the heap is not trimmed and refaulted on
+every call, and a slab's working set stays near the core's cache.
+`local_field` is its one caller; `energy` reads f from it or from an
+integrator's state.
 
 Each tensor entry is Newell's alternating sum of a potential over the corners
 of two cells. Per axis the corners enter through their shift k = s - t with
@@ -34,7 +35,6 @@ equals its reflection along each axis, up to the parity sign, exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,9 +56,9 @@ class MaterialParams:
     """Dimensionless coefficients of the magnetization dynamics.
 
     eps scales exchange, q the uniaxial anisotropy (easy axis e1), alpha the
-    damping; h_ext is a uniform applied field. stray_enabled switches the
-    magnetostatic field on (a DemagKernel must then be supplied to the
-    integrators).
+    damping; h_ext is a uniform applied field, given as any 3-sequence and
+    kept as a tuple of floats. stray_enabled switches the magnetostatic field
+    on (a DemagKernel must then be supplied to the integrators).
     """
 
     eps: float
@@ -87,6 +87,9 @@ class MaterialParams:
             raise ValueError(f"q must be >= 0, got {self.q!r}")
         if not np.all(np.isfinite(self.h_ext)):
             raise ValueError(f"h_ext must be a finite 3-vector, got {self.h_ext!r}")
+        # a tuple of floats whatever sequence it came as, so params stay a
+        # value: an array would make == ambiguous, a list unhashable
+        object.__setattr__(self, "h_ext", tuple(float(c) for c in self.h_ext))
 
     @property
     def has_local_field(self) -> bool:
@@ -176,18 +179,16 @@ _SHIFTS = (-1, 0, 1)
 _SLAB_BYTES = 256 * 1024
 
 
-@functools.lru_cache(maxsize=None)
 def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The DFT of a length-n axis zero-padded to p modes as an (n, p) matrix
     applied from the right, and the inverse DFT truncated to the first n
-    outputs as a (p, n) one; both C-contiguous and read-only. p is the
-    kernel's padded length, so the padding rule stays in
-    `build_demag_kernel`. One pair is cached per z length in use."""
+    outputs as a (p, n) one, both C-contiguous. p is the kernel's padded
+    length, so the padding rule stays in `build_demag_kernel`; the kernel
+    makes its z pair once and holds it."""
     # the integer phase reduced mod p keeps the exponent's angle below 2 pi
     phase = (np.arange(n)[:, None] * np.arange(p)[None, :]) % p
     F = np.exp(-2j * np.pi * phase / p)
     F_inv = np.ascontiguousarray(F.conj().T) / p
-    F.flags.writeable = F_inv.flags.writeable = False
     return F, F_inv
 
 
@@ -237,8 +238,11 @@ class DemagKernel:
     the real-space self-interaction diagonal (Nxx(0), Nyy(0), Nzz(0)), whose
     sum is 1 for any cell shape.
 
-    The kernel also holds the slab buffers `demag_field` reuses from call to
-    call, made on its first call and kept out of `fft`. Not thread safe.
+    Built with it, once, is all else `demag_field` reads: `_dft_z`, its z
+    DFT pair, and `_slabs`, the even split of the x-modes into slabs of at
+    most _SLAB_BYTES per buffer (one mode at least), each its (lo, hi) and
+    its views of four complex buffers all slabs and calls share. Not thread
+    safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -247,7 +251,24 @@ class DemagKernel:
         self.fft = fft_components
         self.padded_shape = padded_shape
         self.self_diag = self_diag
-        self._slabs = None
+        nz = grid.nz
+        px, py, pz = padded_shape
+        self._dft_z = _dft_pair(nz, pz)
+        kx = px // 2 + 1
+        width = min(kx, max(1, _SLAB_BYTES // (16 * py * pz)))
+        lines = np.empty(3 * width * py * nz, dtype=complex)
+        spectra = np.empty(3 * width * py * pz, dtype=complex)
+        product = np.empty(width * py * pz, dtype=complex)
+        term = np.empty(width * py * pz, dtype=complex)
+        count = -(-kx // width)
+        self._slabs = []
+        for j in range(count):
+            lo, hi = j * kx // count, (j + 1) * kx // count
+            n = (hi - lo) * py
+            self._slabs.append((lo, hi, lines[:3 * n * nz].reshape(3, -1, py, nz),
+                                spectra[:3 * n * pz].reshape(3, -1, py, pz),
+                                product[:n * pz].reshape(-1, py, pz),
+                                term[:n * pz].reshape(-1, py, pz)))
 
     @property
     def self_trace(self) -> float:
@@ -303,44 +324,26 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     return DemagKernel(grid, fft_components, padded, self_diag)
 
 
-def _slab_buffers(kernel: DemagKernel) -> tuple:
-    """(width, lines, spectra, product, term): the slab width in x-modes and
-    the flat complex buffers `demag_field` views as (3, w, py, nz),
-    (3, w, py, pz), (w, py, pz) and (w, py, pz) for a slab of w <= width
-    modes. Made on the kernel's first call and kept on it."""
-    if kernel._slabs is None:
-        nz = kernel.grid.nz
-        px, py, pz = kernel.padded_shape
-        plane = py * pz
-        width = min(px // 2 + 1, max(1, _SLAB_BYTES // (16 * plane)))
-        kernel._slabs = (width,
-                         np.empty(3 * width * py * nz, dtype=complex),
-                         np.empty(3 * width * plane, dtype=complex),
-                         np.empty(width * plane, dtype=complex),
-                         np.empty(width * plane, dtype=complex))
-    return kernel._slabs
-
-
 def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     """Stray field h_s = -(N * m) by zero-padded fast convolution.
 
     The padding is never materialized: m takes its real transform along x,
     zero-extended to the padded length, and the x-modes are then processed
-    in slabs of the kernel's reusable buffers. Each slab is zero-padded
-    along y and transformed there in place, then along z by a product with
-    the padded DFT matrix. Each output component is formed from the tensor
-    products and transformed back along z by the truncated inverse matrix,
-    which keeps the first nz entries; one inverse y transform of the three
-    then puts the first ny entries into the slab's own rows of the x
+    in the kernel's slabs, in its buffers. Each slab is zero-padded along y
+    and transformed there in place, then along z by a product with the
+    kernel's padded DFT matrix. Each output component is formed from the
+    tensor products and transformed back along z by the truncated inverse
+    matrix, which keeps the first nz entries; one inverse y transform of the
+    three then puts the first ny entries into the slab's own rows of the x
     spectrum, which were read before they are overwritten. One inverse real
-    transform along x gives the field, a fresh array.
+    transform along x gives the field, a fresh array. The call itself only
+    computes: the kernel made the matrices, the slabs and the buffers.
 
-    The modes are split evenly into slabs of at most the buffers' width, and
-    the width changes no result: every transform and product acts on whole
-    lines or elements, and each z product stays a matrix product. (numpy
-    hands a one-row product to gemv, which rounds differently; only a
-    one-mode slab with ny = 1 would make one, and there a slab holds
-    hundreds of modes.)
+    The width of the slabs changes no result: every transform and product
+    acts on whole lines or elements, and each z product stays a matrix
+    product. (numpy hands a one-row product to gemv, which rounds
+    differently; only a one-mode slab with ny = 1 would make one, and there
+    a slab holds hundreds of modes.)
 
     Raises ValueError if kernel is None (a stray field without its kernel)
     or unless m has shape (3,) + the kernel's grid shape.
@@ -348,11 +351,10 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     if kernel is None:
         raise ValueError("stray field enabled but no demag kernel supplied")
     nx, ny, nz = kernel.grid.shape
-    px, py, pz = kernel.padded_shape
+    px, _, pz = kernel.padded_shape
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
-    width, lines, spectra, product, term = _slab_buffers(kernel)
-    F, F_inv = _dft_pair(nz, pz)
+    F, F_inv = kernel._dft_z
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
     # the field outlives the call (states carry it), so it is allocated ahead
@@ -360,19 +362,11 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     # thin-film run's peak RSS by 3-4 MB
     h = np.empty((3, nx, ny, nz))
     mf = scipy.fft.rfft(m, n=px, axis=1)
-    kx = mf.shape[1]
-    count = -(-kx // width)
-    for j in range(count):
-        lo, hi = j * kx // count, (j + 1) * kx // count
-        w = hi - lo
-        y = lines[:3 * w * py * nz].reshape(3, w, py, nz)
+    for lo, hi, y, s, out, tmp in kernel._slabs:
         y[:, :, :ny] = mf[:, lo:hi]
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
-        s = spectra[:3 * w * py * pz].reshape(3, w, py, pz)
         np.matmul(y.reshape(-1, nz), F, out=s.reshape(-1, pz))
-        out = product[:w * py * pz].reshape(w, py, pz)
-        tmp = term[:w * py * pz].reshape(w, py, pz)
         # y is free once s is formed: it takes the three inverse z transforms
         for yi, row in zip(y, rows):
             np.multiply(K[row[0]][lo:hi], s[0], out=out)
@@ -394,9 +388,9 @@ def local_field(params: MaterialParams, m: np.ndarray,
     f = demag_field(kernel, m) if params.stray_enabled else np.zeros(m.shape)
     for i, h in enumerate(params.h_ext):
         if i > 0 and params.q != 0.0:
-            f[i] += float(h) - params.q * m[i]
+            f[i] += h - params.q * m[i]
         elif h != 0.0:
-            f[i] += float(h)
+            f[i] += h
     return f
 
 

@@ -186,6 +186,17 @@ class TestMainExitCodes:
         cfg_path = write_cfg(tmp_path, SOLVE_UNIFORM)
         assert main(["micromag", "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize("command,payload", [
+        ("micromag", {"kind": ["micromag"], "alpha": 0.1}),
+        ("stability", {"kind": "stability", "scheme": ["scheme-b"], "h_list": [0.1]}),
+        ("micromag", {"kind": "micromag", "alpha": 0.1, "initial": {"type": ["random"]}}),
+    ], ids=["kind", "scheme", "initial-type"])
+    def test_unhashable_name_is_2(self, tmp_path, capsys, command, payload):
+        # a list is unhashable: looked up in a dict, it escapes as a TypeError
+        cfg_path = write_cfg(tmp_path, payload)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -280,3 +280,10 @@ class TestKindFields:
             blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
         kinds = [ExperimentConfig.from_dict(json.loads(b)).kind for b in blocks]
         assert set(kinds) == set(KINDS)
+
+    def test_readme_library_sketch_runs(self, capsys):
+        with open(README) as fh:
+            (block,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        exec(compile(block, README, "exec"), {})
+        (line,) = capsys.readouterr().out.splitlines()
+        assert np.isfinite(float(line)), line

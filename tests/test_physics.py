@@ -67,6 +67,16 @@ class TestMaterialParams:
         with pytest.raises(ValueError, match=name):
             MaterialParams(**dict(dict(eps=1.0, alpha=0.1), **change))
 
+    def test_h_ext_is_a_value_in_any_form(self):
+        # stored as given, an array makes == ambiguous and hash fail, and a
+        # list is unhashable and unequal to the same tuple
+        forms = [MaterialParams(eps=1.0, alpha=0.1, h_ext=h)
+                 for h in ((0, 0.5, 0), [0, 0.5, 0], np.array([0, 0.5, 0]))]
+        for p in forms:
+            assert p == forms[0] and hash(p) == hash(forms[0])
+            assert p.h_ext == (0.0, 0.5, 0.0)
+            assert all(type(c) is float for c in p.h_ext)
+
     def test_numpy_bool_switches_the_stray_field(self):
         params = MaterialParams(eps=1.0, alpha=0.1, stray_enabled=np.True_)
         assert params.has_local_field
@@ -196,7 +206,8 @@ def _direct_stray(g, m):
 
 
 def _fresh(kernel):
-    """The same spectra on a kernel that has not made its slab buffers."""
+    """The same spectra on a new kernel, which makes its own z matrices,
+    slabs and buffers, at the slab width _SLAB_BYTES gives now."""
     return DemagKernel(kernel.grid, kernel.fft, kernel.padded_shape,
                        kernel.self_diag)
 
@@ -256,9 +267,9 @@ class TestDemagField:
 
     def test_field_peak_memory_bound(self):
         # 64x64x3: a call holds the field (0.28 MiB), the x spectrum (0.57
-        # MiB) and the inverse x transform (0.56 MiB), and peaks at 1.42 MiB
-        # once the kernel has its slab buffers (4.85 MiB before they were
-        # kept). The first call also makes the buffers: 3.02 MiB.
+        # MiB) and the inverse x transform (0.56 MiB), and peaks at 1.42 MiB.
+        # The kernel is built with its slab buffers (1.6 MiB), so the first
+        # call allocates no more than the next.
         g = Grid(64, 64, 3, 1.0, 1.0, 0.02)
         k = build_demag_kernel(g)
         m = np.random.default_rng(27).standard_normal((3,) + g.shape)
@@ -270,9 +281,7 @@ class TestDemagField:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        first, steady = peaks
-        assert first <= 4.0 * 2 ** 20, first
-        assert steady <= 1.75 * 2 ** 20, steady
+        assert max(peaks) <= 1.75 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1)],
                              ids=["film", "tall-z", "one-cell"])
@@ -286,7 +295,26 @@ class TestDemagField:
             monkeypatch.setattr(physics, "_SLAB_BYTES", budget)
             fresh = _fresh(k)
             assert np.array_equal(demag_field(fresh, m), h)
-            assert fresh._slabs[0] == width
+            assert max(hi - lo for lo, hi, *_ in fresh._slabs) == width
+
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1)],
+                             ids=["film", "tall-z", "one-cell"])
+    def test_slabs_tile_the_x_modes(self, shape, monkeypatch):
+        # in order, with no gap and no overlap, evenly, each view w modes wide
+        k = build_demag_kernel(Grid(*shape, 1.0, 1.0, 0.5))
+        px, py, pz = k.padded_shape
+        for budget in (physics._SLAB_BYTES, 16 * py * pz, 3 * 16 * py * pz):
+            monkeypatch.setattr(physics, "_SLAB_BYTES", budget)
+            slabs = _fresh(k)._slabs
+            bounds = [(lo, hi) for lo, hi, *_ in slabs]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == px // 2 + 1
+            widths = [hi - lo for lo, hi in bounds]
+            assert min(widths) >= 1 and max(widths) - min(widths) <= 1, widths
+            for lo, hi, y, s, out, tmp in slabs:
+                w = hi - lo
+                assert y.shape == (3, w, py, k.grid.nz) and s.shape == (3, w, py, pz)
+                assert out.shape == tmp.shape == (w, py, pz)
 
     def test_calls_return_fresh_fields(self):
         g = Grid(6, 5, 2, 1.0, 1.0, 0.5)
@@ -312,7 +340,8 @@ class TestDemagField:
         before = {c: a.nbytes for c, a in k.fft.items()}
         demag_field(k, np.ones((3,) + k.grid.shape))
         assert {c: a.nbytes for c, a in k.fft.items()} == before
-        assert k._slabs is not None
+        assert not any(np.shares_memory(a, view) for a in k.fft.values()
+                       for slab in k._slabs for view in slab[2:])
 
     def test_linearity_and_symmetry(self):
         g = Grid(3, 2, 2, 1.0, 0.8, 0.6)
