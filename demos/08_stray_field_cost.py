@@ -1,0 +1,43 @@
+"""Cost of one stray-field convolution: whole `demag_field` calls per grid.
+
+Builds the demag kernel of each grid and times whole `demag_field` calls on
+a random m with one BLAS thread: two thin films (64x64x3, the thin-film
+workload's grid, and the single-layer 128x128x1) and the tall columns of
+README's stray-field table, where the dense z products cost most. Prints the
+median milliseconds per call over about a second of calls (five at least,
+after one untimed call) and the megabytes the kernel's six spectra hold.
+Pass --production to add the 250x250x5 production grid, whose kernel build
+takes a few seconds. Run it on two versions of the library to compare them.
+"""
+
+import os
+import sys
+import time
+
+# one BLAS thread, set before numpy loads OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from gspm2 import Grid, build_demag_kernel, demag_field  # noqa: E402
+
+shapes = [(64, 64, 3), (128, 128, 1), (2, 3, 17), (16, 16, 24), (16, 16, 32),
+          (32, 32, 32), (64, 64, 64), (8, 8, 64), (4, 4, 128)]
+if "--production" in sys.argv:
+    shapes.append((250, 250, 5))
+
+rng = np.random.default_rng(8)
+print(f"{'grid':>12} {'ms/call':>9} {'kernel MB':>10} {'calls':>6}")
+for shape in shapes:
+    kernel = build_demag_kernel(Grid(*shape, *(float(n) for n in shape)))
+    m = rng.standard_normal((3,) + shape)
+    demag_field(kernel, m)
+    times = []
+    deadline = time.perf_counter() + 1.0
+    while len(times) < 5 or time.perf_counter() < deadline:
+        start = time.perf_counter()
+        demag_field(kernel, m)
+        times.append(time.perf_counter() - start)
+    mb = sum(a.nbytes for a in kernel.fft.values()) / 1e6
+    name = "x".join(str(n) for n in shape)
+    print(f"{name:>12} {1e3 * np.median(times):9.3f} {mb:10.2f} {len(times):6d}")

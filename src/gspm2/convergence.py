@@ -56,7 +56,8 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     `on_step(state)` is called after every step; `step_kwargs` are forwarded
     to the named scheme's stepper (not the bootstrap), e.g. a Krylov `tol`.
     """
-    if scheme not in _STEPPERS:
+    # a tuple, not the dict: an unhashable name is unknown, not a TypeError
+    if scheme not in tuple(_STEPPERS):
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_STEPPERS)}")
     if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
             or n_steps < 0):

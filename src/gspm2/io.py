@@ -36,13 +36,14 @@ def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing):
     """Legacy-VTK STRUCTURED_POINTS file with one 3-vector per cell center.
 
     m has shape (3, nx, ny, nz); points are emitted x-fastest as the format
-    requires.
+    requires, each component as the repr of its float. The vectors are
+    formatted by one % over the whole field: the same bytes as a Python
+    loop over the rows, in less time, float repr being most of the cost.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 4 or m.shape[0] != 3:
         raise ValueError(f"expected (3, nx, ny, nz) field, got shape {m.shape}")
     nx, ny, nz = m.shape[1:]
-    vectors = m.transpose(3, 2, 1, 0).reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("magnetization snapshot\n")
@@ -53,5 +54,5 @@ def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing):
         fh.write("SPACING {!r} {!r} {!r}\n".format(*[float(v) for v in spacing]))
         fh.write(f"POINT_DATA {nx * ny * nz}\n")
         fh.write("VECTORS m double\n")
-        for vx, vy, vz in vectors:
-            fh.write(f"{float(vx)!r} {float(vy)!r} {float(vz)!r}\n")
+        fh.write("%r %r %r\n" * (nx * ny * nz)
+                 % tuple(m.transpose(3, 2, 1, 0).ravel().tolist()))

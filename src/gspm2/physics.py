@@ -11,8 +11,12 @@ W. Williams, D. Dunlop, J. Geophys. Res. 98, 9551 (1993)) and applied by
 zero-padded FFT convolution on the doubled grid. As in MuMax3 (A.
 Vansteenkiste et al., AIP Adv. 4, 107133 (2014)), x, the longest padded axis
 of a film, takes the real transform, which halves the spectra; y and z take
-complex ones. The z axis, the thickness of a film, is transformed by one
-product with a DFT matrix, which on a few cells beats pocketfft's per-line
+complex ones. Every tensor entry is even or odd along each axis exactly, so
+with the unpartnered padded slot zeroed along the odd axes every spectrum is
+real: the kernel keeps real spectra, half the bytes again, and the tensor
+products run in real arithmetic on separate real and imaginary planes. The z
+axis, the thickness of a film, is transformed by real products with a DFT
+matrix pair, one per x-mode, which on a few cells beats pocketfft's per-line
 overhead. After the x transform, `demag_field` works through the x-modes in
 slabs of about _SLAB_BYTES per buffer. The kernel is built with its z matrix
 pair, slabs and buffers, so a call allocates only the x spectrum, the
@@ -180,16 +184,26 @@ _SLAB_BYTES = 256 * 1024
 
 
 def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DFT of a length-n axis zero-padded to p modes as an (n, p) matrix
-    applied from the right, and the inverse DFT truncated to the first n
-    outputs as a (p, n) one, both C-contiguous. p is the kernel's padded
-    length, so the padding rule stays in `build_demag_kernel`; the kernel
-    makes its z pair once and holds it."""
+    """The DFT of a length-n axis zero-padded to p modes, and the inverse DFT
+    truncated to its first n outputs, as real matrices on complex numbers
+    stored interleaved (re, im). The forward pair, (2, 1, 2n, p), maps an
+    interleaved row to its real part, then its imaginary part; the inverse
+    pair, (2, 1, p, 2n), maps a real and an imaginary row to the two halves
+    whose sum is the interleaved result. The middle axis lets both broadcast
+    over a slab's stacked (py, .) matrices. p is the kernel's padded length,
+    so the padding rule stays in `build_demag_kernel`; the kernel makes its z
+    pair once and holds it."""
     # the integer phase reduced mod p keeps the exponent's angle below 2 pi
     phase = (np.arange(n)[:, None] * np.arange(p)[None, :]) % p
     F = np.exp(-2j * np.pi * phase / p)
-    F_inv = np.ascontiguousarray(F.conj().T) / p
-    return F, F_inv
+    F_inv = F.conj().T / p
+    forward = np.empty((2, 1, 2 * n, p))
+    forward[0, 0, 0::2], forward[0, 0, 1::2] = F.real, -F.imag
+    forward[1, 0, 0::2], forward[1, 0, 1::2] = F.imag, F.real
+    inverse = np.empty((2, 1, p, 2 * n))
+    inverse[0, 0, :, 0::2], inverse[0, 0, :, 1::2] = F_inv.real, F_inv.imag
+    inverse[1, 0, :, 0::2], inverse[1, 0, :, 1::2] = -F_inv.imag, F_inv.real
+    return forward, inverse
 
 
 def _second_difference(minus, zero, plus):
@@ -233,16 +247,18 @@ class DemagKernel:
 
     `fft` maps the six symmetric components to their spectra on the padded
     grid (px, py, pz): a real FFT along x, keeping px//2 + 1 modes, then full
-    complex FFTs along y and z, so each is a (px//2 + 1, py, pz) array;
-    `padded_shape` doubles each axis but one of length 1. `self_diag` holds
-    the real-space self-interaction diagonal (Nxx(0), Nyy(0), Nzz(0)), whose
-    sum is 1 for any cell shape.
+    complex FFTs along y and z. The spectra are real, so each is kept as a
+    float64 (px//2 + 1, py, pz) array; `padded_shape` doubles each axis but
+    one of length 1. `self_diag` holds the real-space self-interaction
+    diagonal (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
 
     Built with it, once, is all else `demag_field` reads: `_dft_z`, its z
-    DFT pair, and `_slabs`, the even split of the x-modes into slabs of at
-    most _SLAB_BYTES per buffer (one mode at least), each its (lo, hi) and
-    its views of four complex buffers all slabs and calls share. Not thread
-    safe.
+    DFT pair in real form, and `_slabs`, the even split of the x-modes into
+    slabs of at most _SLAB_BYTES per buffer (one mode at least), each its
+    (lo, hi) and its views of four buffers all slabs and calls share: the
+    complex y lines (3, w, py, nz), then as real and imaginary planes the z
+    spectra (3, 2, w, py, pz), the output component and a product term (2,
+    w, py, pz). Not thread safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -257,18 +273,18 @@ class DemagKernel:
         kx = px // 2 + 1
         width = min(kx, max(1, _SLAB_BYTES // (16 * py * pz)))
         lines = np.empty(3 * width * py * nz, dtype=complex)
-        spectra = np.empty(3 * width * py * pz, dtype=complex)
-        product = np.empty(width * py * pz, dtype=complex)
-        term = np.empty(width * py * pz, dtype=complex)
+        spectra = np.empty(6 * width * py * pz)
+        product = np.empty(2 * width * py * pz)
+        term = np.empty(2 * width * py * pz)
         count = -(-kx // width)
         self._slabs = []
         for j in range(count):
             lo, hi = j * kx // count, (j + 1) * kx // count
             n = (hi - lo) * py
             self._slabs.append((lo, hi, lines[:3 * n * nz].reshape(3, -1, py, nz),
-                                spectra[:3 * n * pz].reshape(3, -1, py, pz),
-                                product[:n * pz].reshape(-1, py, pz),
-                                term[:n * pz].reshape(-1, py, pz)))
+                                spectra[:6 * n * pz].reshape(3, 2, -1, py, pz),
+                                product[:2 * n * pz].reshape(2, -1, py, pz),
+                                term[:2 * n * pz].reshape(2, -1, py, pz)))
 
     @property
     def self_trace(self) -> float:
@@ -276,8 +292,9 @@ class DemagKernel:
 
 
 def _displacements(n: int) -> np.ndarray:
-    """Padded-axis slot -> signed cell offset (slot n maps to -n; it only feeds
-    the discarded half of the circular convolution)."""
+    """Padded-axis slot -> signed cell offset. Slot n maps to -n, which has no
+    +n partner and only feeds the discarded half of the circular convolution,
+    so the kernel build zeroes it where an entry is odd."""
     if n == 1:
         return np.zeros(1)
     idx = np.arange(2 * n)
@@ -293,6 +310,11 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     potential is evaluated once on the outer product of the distinct values.
     The second difference along each axis in turn gathers its three shifts
     through the inverse indices: the blocks equal the entry's bit for bit.
+    An off-diagonal block is then zeroed at slot n along each of its two odd
+    axes longer than 1, which only the discarded half of the convolution
+    reads. Every block is then exactly even or odd along each axis, with an
+    even number of odd axes, so its spectrum is real up to rounding (about
+    1e-16 relative) and only the real part is stored.
     """
     hx, hy, hz = grid.spacing
     padded = tuple(1 if n == 1 else 2 * n for n in grid.shape)
@@ -306,6 +328,10 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     # the potential is evaluated in x slabs of at most one padded block each,
     # so its temporaries stay no larger than the gathered blocks
     rows = max(1, math.prod(padded) // (uniques[1].size * uniques[2].size))
+    # the six real spectra share one block, allocated ahead of the build's
+    # temporaries: six copies made after them left the heap to be trimmed
+    # and refaulted, 8k page faults a build in a thin-film run against 4.6k
+    spectra = np.empty((6, padded[0] // 2 + 1) + padded[1:])
     fft_components = {}
     self_diag = np.empty(3)
     for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
@@ -319,8 +345,16 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
         block /= 4.0 * np.pi * hx * hy * hz
         if i < 3:
             self_diag[i] = block[0, 0, 0]
-        # rfftn takes the real transform over its last axis: x
-        fft_components[comp] = scipy.fft.rfftn(block, axes=(1, 2, 0))
+        else:
+            # slot n (offset -n) has no +n partner; zeroed along the two odd
+            # axes, it leaves the entry odd there, and the spectrum real
+            for axis, n in enumerate(grid.shape):
+                if "xyz"[axis] in comp and n > 1:
+                    block[(slice(None),) * axis + (n,)] = 0.0
+        # rfftn takes the real transform over its last axis: x. Every
+        # spectrum is real but for rounding, so only its real part is kept
+        spectra[i] = scipy.fft.rfftn(block, axes=(1, 2, 0)).real
+        fft_components[comp] = spectra[i]
     return DemagKernel(grid, fft_components, padded, self_diag)
 
 
@@ -330,20 +364,24 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     The padding is never materialized: m takes its real transform along x,
     zero-extended to the padded length, and the x-modes are then processed
     in the kernel's slabs, in its buffers. Each slab is zero-padded along y
-    and transformed there in place, then along z by a product with the
-    kernel's padded DFT matrix. Each output component is formed from the
-    tensor products and transformed back along z by the truncated inverse
-    matrix, which keeps the first nz entries; one inverse y transform of the
-    three then puts the first ny entries into the slab's own rows of the x
-    spectrum, which were read before they are overwritten. One inverse real
-    transform along x gives the field, a fresh array. The call itself only
-    computes: the kernel made the matrices, the slabs and the buffers.
+    and transformed there in place, then along z by real products of its
+    interleaved numbers with the kernel's padded DFT pair, into separate
+    real and imaginary planes (at pz = 1 the transform is the identity and
+    the planes are a copy). The kernel is real, so each output component is
+    formed from the nine tensor products plane by plane in real arithmetic,
+    then transformed back along z by the truncated inverse pair, which
+    writes the first nz entries back into the slab's lines, interleaved. One
+    inverse y transform of the three then puts the first ny entries into the
+    slab's own rows of the x spectrum, which were read before they are
+    overwritten. One inverse real transform along x gives the field, a fresh
+    array. The call itself only computes: the kernel made the matrices, the
+    slabs and the buffers.
 
     The width of the slabs changes no result: every transform and product
-    acts on whole lines or elements, and each z product stays a matrix
-    product. (numpy hands a one-row product to gemv, which rounds
-    differently; only a one-mode slab with ny = 1 would make one, and there
-    a slab holds hundreds of modes.)
+    acts on whole lines or elements, and each z product is a stack of one
+    (py, .) matrix product per x-mode, whose shape no slab width changes.
+    (OpenBLAS rounds the rows of a real product differently with its row
+    count, so one product over a whole slab would not do.)
 
     Raises ValueError if kernel is None (a stray field without its kernel)
     or unless m has shape (3,) + the kernel's grid shape.
@@ -351,10 +389,10 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     if kernel is None:
         raise ValueError("stray field enabled but no demag kernel supplied")
     nx, ny, nz = kernel.grid.shape
-    px, _, pz = kernel.padded_shape
+    px, py, pz = kernel.padded_shape
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
-    F, F_inv = kernel._dft_z
+    forward, inverse = kernel._dft_z
     K = kernel.fft
     rows = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
     # the field outlives the call (states carry it), so it is allocated ahead
@@ -366,13 +404,22 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
         y[:, :, :ny] = mf[:, lo:hi]
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
-        np.matmul(y.reshape(-1, nz), F, out=s.reshape(-1, pz))
+        # s[j] holds the real, then the imaginary plane of component j
+        if pz > 1:
+            np.matmul(y.view(float)[:, None], forward, out=s)
+        else:
+            s[:, 0], s[:, 1] = y.real, y.imag
         # y is free once s is formed: it takes the three inverse z transforms
         for yi, row in zip(y, rows):
             np.multiply(K[row[0]][lo:hi], s[0], out=out)
             for comp, sj in zip(row[1:], s[1:]):
                 out += np.multiply(K[comp][lo:hi], sj, out=tmp)
-            np.matmul(out.reshape(-1, pz), F_inv, out=yi.reshape(-1, nz))
+            if pz > 1:
+                # pz = 2 nz: tmp holds the two halves of the interleaved yi
+                halves = np.matmul(out, inverse, out=tmp.reshape(2, -1, py, 2 * nz))
+                np.add(halves[0], halves[1], out=yi.view(float))
+            else:
+                yi.real[...], yi.imag[...] = out
         y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
         mf[:, lo:hi] = y[:, :, :ny]
     return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)

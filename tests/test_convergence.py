@@ -45,12 +45,18 @@ class TestObservedOrder:
 
 class TestIntegrateArguments:
     @staticmethod
-    def run(dt, n_steps):
+    def run(dt, n_steps, scheme="scheme-a"):
         grid = Grid.line(8)
         m0 = np.zeros((3,) + grid.shape)
         m0[2] = 1.0
-        return integrate("scheme-a", m0, grid, MaterialParams(eps=1.0, alpha=0.1),
+        return integrate(scheme, m0, grid, MaterialParams(eps=1.0, alpha=0.1),
                          dt, n_steps)
+
+    @pytest.mark.parametrize("scheme", ["scheme-c", ["scheme-a"], None],
+                             ids=["unknown", "list", "none"])
+    def test_scheme_must_be_a_known_name(self, scheme):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            self.run(1e-3, 1, scheme)
 
     @pytest.mark.parametrize("n_steps", [-4, True, 2.0, "3", None])
     def test_step_count_must_be_a_nonnegative_integer(self, n_steps):

@@ -148,17 +148,28 @@ class TestDemagTensor:
     def test_kernel_is_the_entry_bit_for_bit(self, shape, spacing):
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         k = build_demag_kernel(g)
-        X, Y, Z = np.meshgrid(*(_displacements(n) * h
-                                for n, h in zip(g.shape, g.spacing)),
-                              indexing="ij", sparse=True)
         for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
-            block = np.broadcast_to(demag_tensor_entry(comp, X, Y, Z, g.spacing),
-                                    k.padded_shape)
-            # the real transform on x, complex ones on y and z
-            spectrum = scipy.fft.rfftn(block, axes=(1, 2, 0))
+            block = _entry_block(g, k.padded_shape, comp)
+            # the real transform on x, complex ones on y and z, real part kept
+            spectrum = scipy.fft.rfftn(block, axes=(1, 2, 0)).real
             assert k.fft[comp].tobytes() == spectrum.tobytes(), comp
             if i < 3:
                 assert k.self_diag[i].tobytes() == block[0, 0, 0].tobytes(), comp
+
+    @pytest.mark.parametrize("shape,spacing", [
+        ((64, 64, 3), (1 / 64, 0.8 / 64, 0.02 / 3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
+        ((2, 3, 17), (1.0, 1.0, 0.5)), ((16, 16, 1), (1.0, 1.0, 0.02)),
+    ], ids=["64x64x3-film", "5x3x1", "2x3x17", "16x16x1"])
+    def test_spectra_are_real(self, shape, spacing):
+        # the premise of keeping only the real part: with slot n zeroed along
+        # the odd axes, every entry block has exact parity, so its imaginary
+        # part is rounding
+        g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
+        padded = build_demag_kernel(g).padded_shape
+        for comp in ("xx", "yy", "zz", "xy", "xz", "yz"):
+            spectrum = scipy.fft.rfftn(_entry_block(g, padded, comp), axes=(1, 2, 0))
+            imag, real = np.abs(spectrum.imag).max(), np.abs(spectrum.real).max()
+            assert imag <= 1e-15 * real, (comp, imag / real)
 
     def test_build_peak_memory_bound(self):
         # 64x64x4 padded blocks of 128 KiB; the six spectra hold 1.1 MiB.
@@ -175,12 +186,26 @@ class TestDemagTensor:
         assert peak <= 2.25 * 2 ** 20, peak
 
     def test_kernel_spectra_bytes(self):
-        # six complex (px//2 + 1, py, pz) spectra: 4.79 MB at 64x64x3
+        # six real (px//2 + 1, py, pz) spectra: 2.40 MB at 64x64x3
         g = Grid(64, 64, 3, 1.0, 1.0, 0.02)
         k = build_demag_kernel(g)
         px, py, pz = k.padded_shape
         assert (px, py, pz) == (128, 128, 6)
-        assert sum(a.nbytes for a in k.fft.values()) == 6 * (px // 2 + 1) * py * pz * 16
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous
+                   for a in k.fft.values())
+        assert sum(a.nbytes for a in k.fft.values()) == 6 * (px // 2 + 1) * py * pz * 8
+
+
+def _entry_block(g, padded, comp):
+    """The tensor entry on the padded lattice's displacements, slot n (offset
+    -n) zeroed along each odd axis longer than 1."""
+    X, Y, Z = np.meshgrid(*(_displacements(n) * h for n, h in zip(g.shape, g.spacing)),
+                          indexing="ij", sparse=True)
+    block = np.broadcast_to(demag_tensor_entry(comp, X, Y, Z, g.spacing), padded).copy()
+    for axis, n in enumerate(g.shape):
+        if comp[0] != comp[1] and "xyz"[axis] in comp and n > 1:
+            block[(slice(None),) * axis + (n,)] = 0.0
+    return block
 
 
 def _direct_stray(g, m):
@@ -283,8 +308,8 @@ class TestDemagField:
                 tracemalloc.stop()
         assert max(peaks) <= 1.75 * 2 ** 20, peaks
 
-    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1)],
-                             ids=["film", "tall-z", "one-cell"])
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1), (16, 16, 1)],
+                             ids=["film", "tall-z", "one-cell", "single-layer"])
     def test_field_does_not_depend_on_slab_width(self, shape, monkeypatch):
         g = Grid(*shape, 1.0, 1.0, 0.5)
         k = build_demag_kernel(g)
@@ -297,8 +322,8 @@ class TestDemagField:
             assert np.array_equal(demag_field(fresh, m), h)
             assert max(hi - lo for lo, hi, *_ in fresh._slabs) == width
 
-    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1)],
-                             ids=["film", "tall-z", "one-cell"])
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1), (16, 16, 1)],
+                             ids=["film", "tall-z", "one-cell", "single-layer"])
     def test_slabs_tile_the_x_modes(self, shape, monkeypatch):
         # in order, with no gap and no overlap, evenly, each view w modes wide
         k = build_demag_kernel(Grid(*shape, 1.0, 1.0, 0.5))
@@ -313,8 +338,8 @@ class TestDemagField:
             assert min(widths) >= 1 and max(widths) - min(widths) <= 1, widths
             for lo, hi, y, s, out, tmp in slabs:
                 w = hi - lo
-                assert y.shape == (3, w, py, k.grid.nz) and s.shape == (3, w, py, pz)
-                assert out.shape == tmp.shape == (w, py, pz)
+                assert y.shape == (3, w, py, k.grid.nz) and s.shape == (3, 2, w, py, pz)
+                assert out.shape == tmp.shape == (2, w, py, pz)
 
     def test_calls_return_fresh_fields(self):
         g = Grid(6, 5, 2, 1.0, 1.0, 0.5)
