@@ -36,9 +36,8 @@ def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing):
     """Legacy-VTK STRUCTURED_POINTS file with one 3-vector per cell center.
 
     m has shape (3, nx, ny, nz); points are emitted x-fastest as the format
-    requires, each component as the repr of its float. The vectors are
-    formatted by one % over the whole field: the same bytes as a Python
-    loop over the rows, in less time, float repr being most of the cost.
+    requires, each component as the repr of its float. Each z-plane's vectors
+    are formatted by one %, so the transient text is one plane's.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 4 or m.shape[0] != 3:
@@ -54,5 +53,6 @@ def write_vtk_structured_points(path: str, m: np.ndarray, origin, spacing):
         fh.write("SPACING {!r} {!r} {!r}\n".format(*[float(v) for v in spacing]))
         fh.write(f"POINT_DATA {nx * ny * nz}\n")
         fh.write("VECTORS m double\n")
-        fh.write("%r %r %r\n" * (nx * ny * nz)
-                 % tuple(m.transpose(3, 2, 1, 0).ravel().tolist()))
+        fmt = "%r %r %r\n" * (nx * ny)
+        for plane in m.transpose(3, 2, 1, 0):
+            fh.write(fmt % tuple(plane.ravel().tolist()))

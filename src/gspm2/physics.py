@@ -174,7 +174,8 @@ _COMPONENT_RECIPE = {
 _SHIFTS = (-1, 0, 1)
 
 # bytes of one product buffer of demag_field, which sets its slab width: as
-# many x-modes, each a (py, pz) complex plane, as fit, and at least one.
+# many x-modes as fit, and at least one. A mode is a real and an imaginary
+# (py, pz) float64 plane, 16 bytes per entry.
 # Measured crossover (whole calls, budgets interleaved in one process, one
 # BLAS thread, 2 MiB of L2 per core), against 256 KiB: 64x64x3 is 2-5% slower
 # at 128 and 512 KiB, 25% slower at 32 KiB, where the per-slab overhead
@@ -257,8 +258,9 @@ class DemagKernel:
     slabs of at most _SLAB_BYTES per buffer (one mode at least), each its
     (lo, hi) and its views of four buffers all slabs and calls share: the
     complex y lines (3, w, py, nz), then as real and imaginary planes the z
-    spectra (3, 2, w, py, pz), the output component and a product term (2,
-    w, py, pz). Not thread safe.
+    spectra (3, 2, w, py, pz) and the output component (2, w, py, pz), and a
+    scratch buffer viewed both as a product term (2, w, py, pz) and as the
+    two halves (2, w, py, 2nz) of an inverse z product. Not thread safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -275,7 +277,9 @@ class DemagKernel:
         lines = np.empty(3 * width * py * nz, dtype=complex)
         spectra = np.empty(6 * width * py * pz)
         product = np.empty(2 * width * py * pz)
-        term = np.empty(2 * width * py * pz)
+        # the two halves of an inverse z product are 2nz wide, and pz = 2nz
+        # but on a single layer, where pz = 1
+        term = np.empty(2 * width * py * max(pz, 2 * nz))
         count = -(-kx // width)
         self._slabs = []
         for j in range(count):
@@ -284,7 +288,8 @@ class DemagKernel:
             self._slabs.append((lo, hi, lines[:3 * n * nz].reshape(3, -1, py, nz),
                                 spectra[:6 * n * pz].reshape(3, 2, -1, py, pz),
                                 product[:2 * n * pz].reshape(2, -1, py, pz),
-                                term[:2 * n * pz].reshape(2, -1, py, pz)))
+                                term[:2 * n * pz].reshape(2, -1, py, pz),
+                                term[:4 * n * nz].reshape(2, -1, py, 2 * nz)))
 
     @property
     def self_trace(self) -> float:
@@ -366,16 +371,16 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     in the kernel's slabs, in its buffers. Each slab is zero-padded along y
     and transformed there in place, then along z by real products of its
     interleaved numbers with the kernel's padded DFT pair, into separate
-    real and imaginary planes (at pz = 1 the transform is the identity and
-    the planes are a copy). The kernel is real, so each output component is
+    real and imaginary planes; on a single layer the pair is 1x1 and the
+    same products apply. The kernel is real, so each output component is
     formed from the nine tensor products plane by plane in real arithmetic,
-    then transformed back along z by the truncated inverse pair, which
-    writes the first nz entries back into the slab's lines, interleaved. One
-    inverse y transform of the three then puts the first ny entries into the
-    slab's own rows of the x spectrum, which were read before they are
-    overwritten. One inverse real transform along x gives the field, a fresh
-    array. The call itself only computes: the kernel made the matrices, the
-    slabs and the buffers.
+    then transformed back along z by the truncated inverse pair, whose two
+    halves sum to the first nz entries, written back into the slab's lines
+    interleaved. One inverse y transform of the three then puts the first ny
+    entries into the slab's own rows of the x spectrum, which were read
+    before they are overwritten. One inverse real transform along x gives
+    the field, a fresh array. The call itself only computes: the kernel made
+    the matrices, the slabs and the buffers.
 
     The width of the slabs changes no result: every transform and product
     acts on whole lines or elements, and each z product is a stack of one
@@ -389,7 +394,7 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     if kernel is None:
         raise ValueError("stray field enabled but no demag kernel supplied")
     nx, ny, nz = kernel.grid.shape
-    px, py, pz = kernel.padded_shape
+    px = kernel.padded_shape[0]
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
     forward, inverse = kernel._dft_z
@@ -400,26 +405,19 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     # thin-film run's peak RSS by 3-4 MB
     h = np.empty((3, nx, ny, nz))
     mf = scipy.fft.rfft(m, n=px, axis=1)
-    for lo, hi, y, s, out, tmp in kernel._slabs:
+    for lo, hi, y, s, out, tmp, halves in kernel._slabs:
         y[:, :, :ny] = mf[:, lo:hi]
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
         # s[j] holds the real, then the imaginary plane of component j
-        if pz > 1:
-            np.matmul(y.view(float)[:, None], forward, out=s)
-        else:
-            s[:, 0], s[:, 1] = y.real, y.imag
+        np.matmul(y.view(float)[:, None], forward, out=s)
         # y is free once s is formed: it takes the three inverse z transforms
         for yi, row in zip(y, rows):
             np.multiply(K[row[0]][lo:hi], s[0], out=out)
             for comp, sj in zip(row[1:], s[1:]):
                 out += np.multiply(K[comp][lo:hi], sj, out=tmp)
-            if pz > 1:
-                # pz = 2 nz: tmp holds the two halves of the interleaved yi
-                halves = np.matmul(out, inverse, out=tmp.reshape(2, -1, py, 2 * nz))
-                np.add(halves[0], halves[1], out=yi.view(float))
-            else:
-                yi.real[...], yi.imag[...] = out
+            np.matmul(out, inverse, out=halves)
+            np.add(halves[0], halves[1], out=yi.view(float))
         y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
         mf[:, lo:hi] = y[:, :, :ny]
     return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)

@@ -336,10 +336,11 @@ class TestDemagField:
             assert bounds[-1][1] == px // 2 + 1
             widths = [hi - lo for lo, hi in bounds]
             assert min(widths) >= 1 and max(widths) - min(widths) <= 1, widths
-            for lo, hi, y, s, out, tmp in slabs:
+            for lo, hi, y, s, out, tmp, halves in slabs:
                 w = hi - lo
                 assert y.shape == (3, w, py, k.grid.nz) and s.shape == (3, 2, w, py, pz)
                 assert out.shape == tmp.shape == (2, w, py, pz)
+                assert halves.shape == (2, w, py, 2 * k.grid.nz)
 
     def test_calls_return_fresh_fields(self):
         g = Grid(6, 5, 2, 1.0, 1.0, 0.5)
