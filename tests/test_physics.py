@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -138,13 +139,69 @@ class TestDemagTensor:
                 reflected = sign * np.flip(entry, axis=axis)
                 assert np.array_equal(entry, reflected), (comp, name)
 
+    def test_potentials_have_exact_parity(self):
+        # the premise of building the kernel on the non-negative offsets: g is
+        # odd in its first two arguments and even in the third, f even in all
+        # three, on the film's shifted offsets (non-dyadic hz) and at zero.
+        # Float equality is bit equality but for the sign of a zero: an
+        # exactly zero g is +0 at either sign of its argument
+        shape, h = (64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3)
+        X, Y, Z = np.meshgrid(*(np.unique(np.abs(np.arange(n + 1) * hn
+                                                 + np.array([-1, 0, 1])[:, None] * hn))
+                                for n, hn in zip(shape, h)),
+                              indexing="ij", sparse=True)
+        for func, signs in ((physics._newell_g, (-1.0, -1.0, 1.0)),
+                            (physics._newell_f, (1.0, 1.0, 1.0))):
+            value = func(X, Y, Z)
+            nonzero = value != 0
+            assert not nonzero.all()
+            for axis, sign in enumerate(signs):
+                args = [X, Y, Z]
+                args[axis] = -args[axis]
+                reflected = func(*args)
+                assert np.array_equal(reflected, sign * value), (func.__name__, axis)
+                assert (reflected[nonzero].tobytes()
+                        == (sign * value)[nonzero].tobytes()), (func.__name__, axis)
+
+    @pytest.mark.parametrize("shape,spacing", [
+        ((64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
+        ((2, 3, 17), (0.1, 0.1, 0.1)), ((1, 1, 1), (1.0, 0.8, 0.3)),
+        ((7, 5, 3), (0.3, 0.7, 0.11)),
+    ], ids=["64x64x3-film", "5x3x1", "2x3x17", "1x1x1", "7x5x3"])
+    def test_potentials_see_the_half_lattice(self, shape, spacing, monkeypatch):
+        # each potential is evaluated on the distinct absolute offsets
+        # d h + k h, d = 0..n, k in {-1, 0, 1}: at most 3 (n + 1) per axis,
+        # since offsets an ulp apart stay distinct
+        seen = {}
+
+        def counting(comp, func):
+            def potential(x, y, z):
+                seen[comp] = seen.get(comp, 0) + np.broadcast(x, y, z).size
+                return func(x, y, z)
+            return potential
+
+        recipe = {c: (counting(c, f), order)
+                  for c, (f, order) in physics._COMPONENT_RECIPE.items()}
+        monkeypatch.setattr(physics, "_COMPONENT_RECIPE", recipe)
+        g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
+        build_demag_kernel(g)
+        assert sorted(seen) == sorted(recipe)
+        bound = math.prod(3 * (n + 1) for n in shape)
+        assert all(count <= bound for count in seen.values()), (seen, bound)
+        if shape == (64, 64, 3):
+            # the whole padded lattice took 130 * 130 * 9 = 152,100
+            assert set(seen.values()) == {66 * 66 * 6}
+
     # odd and length-1 axes, and a non-dyadic hz whose shifted offsets differ
-    # from the lattice nodes in the last bit
+    # from the lattice nodes in the last bit; the mirror on odd, tall and
+    # single-layer axes
     @pytest.mark.parametrize("shape,spacing", [
         ((1, 1, 1), (1.0, 0.8, 0.3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
         ((1, 4, 2), (1.0, 0.8, 0.3)), ((6, 5, 2), (1.0, 0.8, 0.3)),
-        ((16, 16, 3), (1.0, 1.0, 0.02)),
-    ], ids=["1x1x1", "5x3x1", "1x4x2", "6x5x2", "16x16x3-film"])
+        ((16, 16, 3), (1.0, 1.0, 0.02)), ((2, 3, 17), (0.3, 0.8, 0.1)),
+        ((16, 16, 1), (1.0, 1.0, 0.02)), ((7, 5, 3), (0.3, 0.7, 0.11)),
+    ], ids=["1x1x1", "5x3x1", "1x4x2", "6x5x2", "16x16x3-film", "2x3x17",
+            "16x16x1", "7x5x3"])
     def test_kernel_is_the_entry_bit_for_bit(self, shape, spacing):
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         k = build_demag_kernel(g)
@@ -173,8 +230,11 @@ class TestDemagTensor:
 
     def test_build_peak_memory_bound(self):
         # 64x64x4 padded blocks of 128 KiB; the six spectra hold 1.1 MiB.
-        # The build peaked at 1.8 MiB when it evaluated the potential on the
-        # padded lattice directly; holding every shifted block would not fit.
+        # The build peaks at 1.44 MiB: the half block (33x33x3) is small, and
+        # the peak is a mirrored block with its complex transform beside the
+        # spectra. It peaked at 1.36 MiB when it took the differences over the
+        # whole padded lattice, and at 1.8 MiB when it evaluated the potential
+        # on that lattice directly; holding every shifted block would not fit.
         g = Grid(32, 32, 2, 32.0, 32.0, 0.04)
         build_demag_kernel(g)
         tracemalloc.start()
