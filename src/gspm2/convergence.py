@@ -265,14 +265,18 @@ def classify_stability(scheme: str, case: ManufacturedCase, h: float, dt: float,
     solution. At alpha = 1 and h = 0.025 the five-solve scheme's max error
     against the closed form is 4.2e-4 at dt = 0.1 h^2 but about 1.07 from
     0.25 h^2 on, and it is classified stable at all of these steps.
+
+    A run that returns is finite: it takes at least one step, and every
+    step ends in the projection, which raises BlowUpError on a non-finite
+    value.
     """
     grid, params, m0 = _case_start(case, h)
     try:
-        res = integrate(scheme, m0, grid, params, dt, max(1, round(t_final / dt)),
-                        source=case.source)
+        integrate(scheme, m0, grid, params, dt, max(1, round(t_final / dt)),
+                  source=case.source)
     except BlowUpError:
         return False
-    return bool(np.isfinite(res.state.m_curr).all())
+    return True
 
 
 def stability_scan(scheme: str, case: ManufacturedCase, h_list, *,

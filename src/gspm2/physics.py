@@ -32,10 +32,11 @@ each axis in turn, over 27 shifted offsets. The difference is symmetric in
 its two outer shifts and the potentials are exactly even or odd, so every
 entry equals its reflection along each axis, up to the parity sign, exactly.
 The single entry and the kernel build share that second difference: the
-entry takes it over its own 27 offsets, the build over a table holding each
-potential once per distinct absolute offset of the non-negative half of the
-padded lattice, and it mirrors the rest by that parity. Both take x, then
-y, then z, so the kernel equals the entry bit for bit.
+entry takes it over its own 27 offsets, the build over one call of each
+potential on the distinct absolute offsets of the non-negative half of the
+padded lattice, negating the one negative offset's entry where the potential
+is odd, and it mirrors the rest by that parity. Both take x, then y, then
+z, so the kernel equals the entry bit for bit.
 """
 
 from __future__ import annotations
@@ -320,16 +321,16 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     (d = 0 alone on an axis of length 1) and mirrors the rest. Per axis the
     arguments d h + k h, k in {-1, 0, 1}, are exactly those
     `demag_tensor_entry` would form; only d = 0, k = -1 is negative. Each
-    component's potential is evaluated once on the outer product of the
-    distinct absolute arguments. f is even in all three; along the two axes
-    an off-diagonal entry names, g is odd, so there the value gathered for
-    the negative argument is negated. The second difference along x, then y,
-    then z gathers its three shifts through the inverse indices. Each axis is
-    then expanded to its padded slots by one `take` of |offset|, and negated
-    at the negative offsets where the entry is odd. Both steps are exact:
-    -(a - b) = -a + b and (-k) h = -(k h) in floating point, and the second
-    difference is symmetric in its outer shifts. So the spectra equal those
-    of the entry's blocks bit for bit.
+    component's potential is evaluated in one call on the outer product of
+    the distinct absolute arguments. f is even in all three; along the two
+    axes an off-diagonal entry names, g is odd, so there the one entry
+    gathered for the negative argument is negated. The second difference
+    along x, then y, then z gathers its three shifts through the inverse
+    indices. Each axis is then expanded to its padded slots by one `take` of
+    |offset|, and negated at the negative offsets where the entry is odd.
+    Both steps are exact: -(a - b) = -a + b and (-k) h = -(k h) in floating
+    point, and the second difference is symmetric in its outer shifts. So
+    the spectra equal those of the entry's blocks bit for bit.
 
     Slot n (offset -n) is zeroed along each odd axis longer than 1, which
     only the discarded half of the convolution reads. Every block is then
@@ -338,23 +339,18 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     real part is stored.
 
     At 64x64x3 the potentials see 66x66x6 points, where the whole padded
-    lattice held 130x130x9. The build takes 0.02-0.03 s there (0.07 s on the
-    whole lattice) and 0.6-0.8 s at 250x250x5 (2.1-2.9 s), with one BLAS
-    thread on a 2-vCPU VM.
+    lattice holds 130x130x9. The build takes 0.02-0.03 s there and 0.6-0.8 s
+    at 250x250x5, with one BLAS thread on a 2-vCPU VM.
     """
     hx, hy, hz = grid.spacing
     padded = tuple(1 if n == 1 else 2 * n for n in grid.shape)
-    uniques, index, negative = [], [], []
+    uniques, index = [], []
     for p, h in zip(padded, grid.spacing):
         shifted = np.arange(p // 2 + 1) * h + np.array(_SHIFTS)[:, None] * h
         unique, inverse = np.unique(np.abs(shifted), return_inverse=True)
         uniques.append(unique)
         index.append(inverse.reshape(shifted.shape))
-        negative.append(shifted < 0)
     points = np.meshgrid(*uniques, indexing="ij", sparse=True)
-    # the potential is evaluated in x slabs of at most one padded block each,
-    # so its temporaries stay no larger than the mirrored blocks
-    rows = max(1, math.prod(padded) // (uniques[1].size * uniques[2].size))
     # the six real spectra share one block, allocated ahead of the build's
     # temporaries: six copies made after them left the heap to be trimmed
     # and refaulted, 8k page faults a build in a thin-film run against 4.6k
@@ -364,15 +360,12 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
         func, order = _COMPONENT_RECIPE[comp]
         odd = [i >= 3 and name in comp for name in "xyz"]
-        block = np.empty(tuple(u.size for u in uniques))
-        for lo in range(0, block.shape[0], rows):
-            pts = (points[0][lo:lo + rows], points[1], points[2])
-            block[lo:lo + rows] = func(pts[order[0]], pts[order[1]], pts[order[2]])
-        for axis, (inverse, neg) in enumerate(zip(index, negative)):
+        block = func(*(points[j] for j in order))
+        for axis, inverse in enumerate(index):
             shifts = [block.take(k, axis=axis) for k in inverse]
             if odd[axis]:
-                for shift, flip in zip(shifts, neg):
-                    shift[_along(axis, flip)] *= -1.0
+                # the one negative argument: d = 0 at shift k = -1
+                shifts[0][_along(axis, 0)] *= -1.0
             block = _second_difference(*shifts)
         block /= 4.0 * np.pi * hx * hy * hz
         if i < 3:

@@ -23,11 +23,11 @@ is); otherwise base = h = m^n, w = 1, the heat operator L = I - eps*dt*Lap
 and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
 `lagged`.
 
-    row        stepper        bdf2   refreshed  lagged  solves
-    GSPM1      gspm1_step     no     2          no      5
-    SI2        si2_step       yes    0          no      3
-    SCHEME_A   scheme_a_step  yes    2          no      5
-    SCHEME_B   scheme_b_step  yes    3          yes     3
+    row        name       stepper        bdf2   refreshed  lagged  solves
+    GSPM1      gspm1      gspm1_step     no     2          no      5
+    SI2        si2        si2_step       yes    0          no      3
+    SCHEME_A   scheme-a   scheme_a_step  yes    2          no      5
+    SCHEME_B   scheme-b   scheme_b_step  yes    3          yes     3
 
 - GSPM1 is first order. Only m_curr is consumed, so it also bootstraps the
   two-level methods.
@@ -191,8 +191,9 @@ def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
 
 @dataclass(frozen=True)
 class SplitScheme:
-    """One row of the split-step table in the module docstring; `name` labels
-    the step in blow-up messages."""
+    """One row of the split-step table in the module docstring; `name`, the
+    scheme name `integrate` and the configs take, labels the step in blow-up
+    messages."""
 
     name: str
     bdf2: bool
@@ -200,10 +201,10 @@ class SplitScheme:
     lagged: bool
 
 
-GSPM1 = SplitScheme("first-order", bdf2=False, refreshed=2, lagged=False)
-SI2 = SplitScheme("plain second-order", bdf2=True, refreshed=0, lagged=False)
-SCHEME_A = SplitScheme("five-solve", bdf2=True, refreshed=2, lagged=False)
-SCHEME_B = SplitScheme("three-solve", bdf2=True, refreshed=3, lagged=True)
+GSPM1 = SplitScheme("gspm1", bdf2=False, refreshed=2, lagged=False)
+SI2 = SplitScheme("si2", bdf2=True, refreshed=0, lagged=False)
+SCHEME_A = SplitScheme("scheme-a", bdf2=True, refreshed=2, lagged=False)
+SCHEME_B = SplitScheme("scheme-b", bdf2=True, refreshed=3, lagged=True)
 
 
 def split_step(state: SchemeState, params: MaterialParams,
@@ -375,4 +376,4 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
             f"residual {residual:.3e}) at step {state.step_index}", residual)
 
     return _finish(state, sol.reshape(shape), dt,
-                   f"coupled reference step {state.step_index}", params, kernel)
+                   f"bdf2-ref step {state.step_index}", params, kernel)

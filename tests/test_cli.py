@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gspm2
 from gspm2 import physics
 from gspm2.cli import emit, main, run
 from gspm2.config import ExperimentConfig
@@ -299,3 +302,16 @@ class TestConvergenceKindsViaRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["schema_version"] == 1
         assert "order" in report["report"]
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_sparse_out(self):
+        # bdf2_reference_step imports scipy.sparse.linalg when it runs: loaded
+        # with the package, it adds about 9 MB to every process's max RSS
+        src = os.path.dirname(os.path.dirname(gspm2.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, gspm2, gspm2.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True)
+        assert out.stdout.strip() == "[]", out.stdout

@@ -198,6 +198,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
 
+    # a missing kind, and fields malformed for their kind; None drops the
+    # field; (kind, change, message)
+    BAD_FIELDS = [
+        ("solve", {"kind": None}, "config is missing 'kind'"),
+        ("converge-time", {"case": "mms-2d"}, "unknown case 'mms-2d'"),
+        ("converge-2d", {"domain": [1.0, 1.0, 1.0]},
+         r"converge-2d domain must be \[lx, ly\]"),
+        ("stability", {"cfl_bracket": [1.0, 0.5]},
+         r"cfl_bracket must be \[lo, hi\] with lo < hi"),
+        ("solve", {"domain": [1.0, 1.0]}, r"solve domain must be \[lx, ly, lz\]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,change,message", BAD_FIELDS,
+        ids=[f"{k}-{'-'.join(f'{n}={v}' for n, v in c.items())}"
+             for k, c, _ in BAD_FIELDS])
+    def test_malformed_fields(self, kind, change, message):
+        data = {k: v for k, v in dict(self.BY_KIND[kind], **change).items()
+                if v is not None}
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    def test_root_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_json(str(path), [TestConfigRoundTrip.SAMPLES[0]])
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            ExperimentConfig.from_file(str(path))
+
     def test_removed_fields_are_unknown(self):
         for name, value in (("error_cap", 0.5), ("full_scale_grid", [8, 8, 2])):
             with pytest.raises(ConfigError, match="unknown config fields"):

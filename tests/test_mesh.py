@@ -91,6 +91,10 @@ class TestSampling:
         with pytest.raises(ValueError, match="index"):
             sample_vector(g, fn)
 
+    def test_two_components_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 components, got 2"):
+            sample_vector(Grid.line(4), lambda X, Y, Z: (X, Y))
+
 
 class TestLaplacian:
     def test_constant_annihilated(self):

@@ -55,6 +55,8 @@ class TestMaterialParams:
             MaterialParams(eps=1.0, alpha=-0.1)
         with pytest.raises(ValueError):
             MaterialParams(eps=1.0, alpha=0.1, h_ext=(0.0, np.nan, 0.0))
+        with pytest.raises(ValueError, match="q must be >= 0"):
+            MaterialParams(eps=1.0, alpha=0.1, q=-1)
 
     @pytest.mark.parametrize("change", [
         dict(stray_enabled="no"), dict(stray_enabled=1), dict(stray_enabled=None),
@@ -166,17 +168,18 @@ class TestDemagTensor:
     @pytest.mark.parametrize("shape,spacing", [
         ((64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
         ((2, 3, 17), (0.1, 0.1, 0.1)), ((1, 1, 1), (1.0, 0.8, 0.3)),
-        ((7, 5, 3), (0.3, 0.7, 0.11)),
-    ], ids=["64x64x3-film", "5x3x1", "2x3x17", "1x1x1", "7x5x3"])
+        ((7, 5, 3), (0.3, 0.7, 0.11)), ((20, 1, 1), (0.1, 1.0, 1.0)),
+    ], ids=["64x64x3-film", "5x3x1", "2x3x17", "1x1x1", "7x5x3", "20x1x1"])
     def test_potentials_see_the_half_lattice(self, shape, spacing, monkeypatch):
-        # each potential is evaluated on the distinct absolute offsets
-        # d h + k h, d = 0..n, k in {-1, 0, 1}: at most 3 (n + 1) per axis,
-        # since offsets an ulp apart stay distinct
-        seen = {}
+        # each potential is evaluated in one call on the distinct absolute
+        # offsets d h + k h, d = 0..n, k in {-1, 0, 1}: at most 3 (n + 1) per
+        # axis, since offsets an ulp apart stay distinct
+        seen, calls = {}, {}
 
         def counting(comp, func):
             def potential(x, y, z):
                 seen[comp] = seen.get(comp, 0) + np.broadcast(x, y, z).size
+                calls[comp] = calls.get(comp, 0) + 1
                 return func(x, y, z)
             return potential
 
@@ -186,6 +189,7 @@ class TestDemagTensor:
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         build_demag_kernel(g)
         assert sorted(seen) == sorted(recipe)
+        assert set(calls.values()) == {1}, calls
         bound = math.prod(3 * (n + 1) for n in shape)
         assert all(count <= bound for count in seen.values()), (seen, bound)
         if shape == (64, 64, 3):

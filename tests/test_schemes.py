@@ -69,6 +69,13 @@ class TestProject:
         with pytest.raises(BlowUpError, match=r"\(1, 0, 0\)"):
             project(m)
 
+    def test_nan_cell_is_hard_error(self):
+        m = np.zeros((3, 2, 1, 1))
+        m[2] = 1.0
+        m[0, 1] = np.nan
+        with pytest.raises(BlowUpError, match="non-finite magnetization in projection"):
+            project(m)
+
     def test_result_unit_to_4eps(self):
         rng = np.random.default_rng(41)
         m = rng.standard_normal((3, 6, 5, 4)) * 3.0
@@ -475,7 +482,7 @@ class TestBlowUpDetection:
         grid = Grid.line(100)
         params = MaterialParams(eps=1.0, alpha=1.0)
         m0 = sample_vector(grid, lambda X, Y, Z: case.exact(X, Y, Z, 0.0))
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError, match="scheme-b step"):
             integrate("scheme-b", m0, grid, params, 1e-3, 1000,
                       source=case.source)
 
