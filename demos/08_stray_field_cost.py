@@ -5,8 +5,9 @@ a random m with one BLAS thread: two thin films (64x64x3, the thin-film
 workload's grid, and the single-layer 128x128x1) and the tall columns of
 README's stray-field table, where the dense z products cost most. Prints the
 seconds of the one kernel build, the median milliseconds per call over about
-a second of calls (five at least, after one untimed call) and the megabytes
-the kernel's six spectra hold.
+a second of calls (five at least, after one untimed call), the megabytes the
+kernel's six spectra hold and the build's peak: the most memory a second,
+untimed build allocates through numpy (tracemalloc), the spectra included.
 Pass --production to add the 250x250x5 production grid, whose kernel build
 (`build s`) is timed nowhere else: no benchmark workload runs that grid. Run
 it on two versions of the library to compare them.
@@ -15,6 +16,7 @@ it on two versions of the library to compare them.
 import os
 import sys
 import time
+import tracemalloc
 
 # one BLAS thread, set before numpy loads OpenBLAS
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -29,7 +31,8 @@ if "--production" in sys.argv:
     shapes.append((250, 250, 5))
 
 rng = np.random.default_rng(8)
-print(f"{'grid':>12} {'build s':>8} {'ms/call':>9} {'kernel MB':>10} {'calls':>6}")
+print(f"{'grid':>12} {'build s':>8} {'ms/call':>9} {'kernel MB':>10} {'peak MiB':>9} "
+      f"{'calls':>6}")
 for shape in shapes:
     start = time.perf_counter()
     kernel = build_demag_kernel(Grid(*shape, *(float(n) for n in shape)))
@@ -43,5 +46,10 @@ for shape in shapes:
         demag_field(kernel, m)
         times.append(time.perf_counter() - start)
     mb = sum(a.nbytes for a in kernel.fft.values()) / 1e6
+    tracemalloc.start()
+    build_demag_kernel(kernel.grid)
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
     name = "x".join(str(n) for n in shape)
-    print(f"{name:>12} {build:8.3f} {1e3 * np.median(times):9.3f} {mb:10.2f} {len(times):6d}")
+    print(f"{name:>12} {build:8.3f} {1e3 * np.median(times):9.3f} {mb:10.2f} "
+          f"{peak:9.2f} {len(times):6d}")

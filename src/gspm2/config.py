@@ -266,8 +266,8 @@ class ExperimentConfig:
         self._positive("alpha", "dx", "dt", "t_final", "dt_seconds",
                        "t_final_seconds")
         self._integer("n_steps", "rounds", "ref_divisor", minimum=1)
-        self._integer("snapshot_every", minimum=0)
-        self._integer("seed")
+        # numpy's generator takes no negative seed
+        self._integer("snapshot_every", "seed", minimum=0)
         # an order is fitted from at least two runs of distinct step sizes
         self._positive_list("dt_list", "dx_list", "dt_divisors", min_len=2)
         self._positive_list("h_list", "domain", "cfl_bracket")

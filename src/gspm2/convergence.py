@@ -55,6 +55,7 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     evaluates f once, on its projected result.
     `on_step(state)` is called after every step; `step_kwargs` are forwarded
     to the named scheme's stepper (not the bootstrap), e.g. a Krylov `tol`.
+    Raises ValueError unless m0 is a finite array of shape (3,) + grid.shape.
     """
     # a tuple, not the dict: an unhashable name is unknown, not a TypeError
     if scheme not in tuple(_STEPPERS):
@@ -64,10 +65,14 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if not (is_number(dt) and np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    m0 = np.asarray(m0, dtype=float)
+    if m0.shape != (3,) + grid.shape or not np.isfinite(m0).all():
+        raise ValueError(f"m0 must be a finite array of shape {(3,) + grid.shape}, "
+                         f"got one of shape {m0.shape}")
     if plan is None:
         plan = build_plan(grid)
     stepper = _STEPPERS[scheme]
-    state = SchemeState.from_initial(np.asarray(m0, dtype=float))
+    state = SchemeState.from_initial(m0)
     solves_before = plan.solve_count
     max_dev = 0.0
     for k in range(n_steps):

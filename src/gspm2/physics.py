@@ -12,8 +12,8 @@ zero-padded FFT convolution on the doubled grid. As in MuMax3 (A.
 Vansteenkiste et al., AIP Adv. 4, 107133 (2014)), x, the longest padded axis
 of a film, takes the real transform, which halves the spectra; y and z take
 complex ones. Every tensor entry is even or odd along each axis exactly, so
-with the unpartnered padded slot zeroed along the odd axes every spectrum is
-real: the kernel keeps real spectra, half the bytes again, and the tensor
+every spectrum is real, a product of one real cosine or sine transform per
+axis: the kernel keeps real spectra, half the bytes again, and the tensor
 products run in real arithmetic on separate real and imaginary planes. The z
 axis, the thickness of a film, is transformed by real products with a DFT
 matrix pair, one per x-mode, which on a few cells beats pocketfft's per-line
@@ -34,9 +34,9 @@ entry equals its reflection along each axis, up to the parity sign, exactly.
 The single entry and the kernel build share that second difference: the
 entry takes it over its own 27 offsets, the build over one call of each
 potential on the distinct absolute offsets of the non-negative half of the
-padded lattice, negating the one negative offset's entry where the potential
-is odd, and it mirrors the rest by that parity. Both take x, then y, then
-z, so the kernel equals the entry bit for bit.
+padded lattice, and transforms that half by the parity, DCT-I along the even
+axes and DST-I along the odd ones. Both take x, then y, then z, so every
+value the transforms read equals the entry bit for bit.
 """
 
 from __future__ import annotations
@@ -162,6 +162,7 @@ def _newell_g(x, y, z):
 
 
 # tensor entry -> (potential, argument order); xy uses g(x, y, z), xz g(x, z, y), ...
+# The diagonal entries come first: the kernel build relies on the order.
 _COMPONENT_RECIPE = {
     "xx": (_newell_f, (0, 1, 2)),
     "yy": (_newell_f, (1, 2, 0)),
@@ -298,19 +299,38 @@ class DemagKernel:
         return float(self.self_diag.sum())
 
 
-def _displacements(n: int) -> np.ndarray:
-    """Padded-axis slot -> signed cell offset. Slot n maps to -n, which has no
-    +n partner and only feeds the discarded half of the circular convolution,
-    so the kernel build zeroes it where an entry is odd."""
-    if n == 1:
-        return np.zeros(1, dtype=int)
-    idx = np.arange(2 * n)
-    return np.where(idx < n, idx, idx - 2 * n)
-
-
 def _along(axis: int, index) -> tuple:
     """Index `index` along `axis` of a 3D array, everything along the rest."""
     return (slice(None),) * axis + (index,)
+
+
+def _parity_spectrum(half: np.ndarray, odd, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the spectrum of the entry block whose non-negative half
+    is `half`: d = 0..n along each padded axis of length 2n, d = 0 alone on an
+    axis of length 1. `odd` flags, per axis, whether the entry is odd there.
+
+    Along a padded axis the DFT of an even block is the DCT-I of its n + 1
+    values, that of an odd block -i times the DST-I of its n - 1 interior
+    values d = 1..n-1, with modes 0 and n zero. An axis of length 1 is its own
+    spectrum, zero where odd. x keeps modes 0..n, as a real FFT would; along y
+    and z the modes k > n are filled from 2n - k with the parity sign. An
+    off-diagonal entry is odd along two axes, so its (-i)^2 = -1 goes in at
+    the end. d = 0 is never read along an odd axis.
+    """
+    for axis, is_odd in enumerate(odd):
+        m = half.shape[axis]
+        if is_odd:
+            modes = np.zeros_like(half)
+            if m > 1:
+                inner = _along(axis, slice(1, -1))
+                modes[inner] = scipy.fft.dst(half[inner], type=1, axis=axis)
+        else:
+            modes = scipy.fft.dct(half, type=1, axis=axis) if m > 1 else half
+        if axis:
+            tail = modes[_along(axis, slice(m - 2, 0, -1))]
+            modes = np.concatenate((modes, -tail if is_odd else tail), axis=axis)
+        half = modes
+    return np.multiply(half, -1.0 if any(odd) else 1.0, out=out)
 
 
 def build_demag_kernel(grid: Grid) -> DemagKernel:
@@ -318,29 +338,21 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
 
     Every entry is exactly even or odd along each axis (module docstring), so
     the build works on the non-negative offsets d = 0..n of each padded axis
-    (d = 0 alone on an axis of length 1) and mirrors the rest. Per axis the
-    arguments d h + k h, k in {-1, 0, 1}, are exactly those
-    `demag_tensor_entry` would form; only d = 0, k = -1 is negative. Each
-    component's potential is evaluated in one call on the outer product of
-    the distinct absolute arguments. f is even in all three; along the two
-    axes an off-diagonal entry names, g is odd, so there the one entry
-    gathered for the negative argument is negated. The second difference
-    along x, then y, then z gathers its three shifts through the inverse
-    indices. Each axis is then expanded to its padded slots by one `take` of
-    |offset|, and negated at the negative offsets where the entry is odd.
-    Both steps are exact: -(a - b) = -a + b and (-k) h = -(k h) in floating
-    point, and the second difference is symmetric in its outer shifts. So
-    the spectra equal those of the entry's blocks bit for bit.
-
-    Slot n (offset -n) is zeroed along each odd axis longer than 1, which
-    only the discarded half of the convolution reads. Every block is then
-    exactly even or odd along each axis, with an even number of odd axes, so
-    its spectrum is real up to rounding (about 1e-16 relative) and only the
-    real part is stored.
+    (d = 0 alone on an axis of length 1), and `_parity_spectrum` maps each
+    half block straight to its spectrum by real DCT-I and DST-I transforms.
+    Per axis the arguments d h + k h, k in {-1, 0, 1}, are exactly those
+    `demag_tensor_entry` would form. Each component's potential is evaluated
+    in one call on the outer product of the distinct absolute arguments, and
+    the second difference along x, then y, then z gathers its three shifts
+    through the inverse indices. The only negative argument, d = 0 at k = -1,
+    is read as its absolute value; g is odd along the two axes an
+    off-diagonal entry names, so there the value at d = 0 is not the entry's,
+    but the DST-I never reads it. Every value the transforms read equals the
+    entry's bit for bit.
 
     At 64x64x3 the potentials see 66x66x6 points, where the whole padded
-    lattice holds 130x130x9. The build takes 0.02-0.03 s there and 0.6-0.8 s
-    at 250x250x5, with one BLAS thread on a 2-vCPU VM.
+    lattice holds 130x130x9. The build takes 0.02 s there and 0.35-0.4 s at
+    250x250x5, with one BLAS thread on a 2-vCPU VM.
     """
     hx, hy, hz = grid.spacing
     padded = tuple(1 if n == 1 else 2 * n for n in grid.shape)
@@ -355,33 +367,16 @@ def build_demag_kernel(grid: Grid) -> DemagKernel:
     # temporaries: six copies made after them left the heap to be trimmed
     # and refaulted, 8k page faults a build in a thin-film run against 4.6k
     spectra = np.empty((6, padded[0] // 2 + 1) + padded[1:])
-    fft_components = {}
     self_diag = np.empty(3)
-    for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
-        func, order = _COMPONENT_RECIPE[comp]
-        odd = [i >= 3 and name in comp for name in "xyz"]
+    for i, (comp, (func, order)) in enumerate(_COMPONENT_RECIPE.items()):
         block = func(*(points[j] for j in order))
         for axis, inverse in enumerate(index):
-            shifts = [block.take(k, axis=axis) for k in inverse]
-            if odd[axis]:
-                # the one negative argument: d = 0 at shift k = -1
-                shifts[0][_along(axis, 0)] *= -1.0
-            block = _second_difference(*shifts)
+            block = _second_difference(*(block.take(k, axis=axis) for k in inverse))
         block /= 4.0 * np.pi * hx * hy * hz
         if i < 3:
             self_diag[i] = block[0, 0, 0]
-        for axis, n in enumerate(grid.shape):
-            block = block.take(np.abs(_displacements(n)), axis=axis)
-            if odd[axis] and n > 1:
-                # slot n (offset -n) has no +n partner; zeroed, it leaves the
-                # entry odd along this axis, and the spectrum real
-                block[_along(axis, slice(n + 1, None))] *= -1.0
-                block[_along(axis, n)] = 0.0
-        # rfftn takes the real transform over its last axis: x. Every
-        # spectrum is real but for rounding, so only its real part is kept
-        spectra[i] = scipy.fft.rfftn(block, axes=(1, 2, 0)).real
-        fft_components[comp] = spectra[i]
-    return DemagKernel(grid, fft_components, padded, self_diag)
+        _parity_spectrum(block, [i >= 3 and name in comp for name in "xyz"], spectra[i])
+    return DemagKernel(grid, dict(zip(_COMPONENT_RECIPE, spectra)), padded, self_diag)
 
 
 def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
@@ -473,9 +468,14 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     gradient of this functional is exactly -(eps Lap m + f(m)) vol: it is the
     Lyapunov functional of the dynamics the integrators discretize. `field`,
     when given, is taken as f(m) in place of a `local_field` call; it is
-    only read, so a state's carried f can be passed.
+    only read, so a state's carried f can be passed. Raises ValueError
+    unless m, and `field` when given, have shape (3,) + grid.shape.
     """
     m = np.asarray(m, dtype=float)
+    shape = (3,) + grid.shape
+    for name, value in (("m", m), ("field", field)):
+        if value is not None and np.shape(value) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
     mag2 = (m * m).sum(axis=0)
     if abs(mag2.max() - 1.0) > 1e-6 or abs(mag2.min() - 1.0) > 1e-6:
         warnings.warn("energy() evaluated on a field that is not unit length",

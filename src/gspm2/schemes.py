@@ -147,6 +147,14 @@ def unit_length_deviation(m: np.ndarray) -> float:
     return float(np.abs(pointwise_magnitude(m) - 1.0).max())
 
 
+def _check_shape(state: SchemeState, grid) -> None:
+    """ValueError unless m_curr has shape (3,) + the grid's: a step would
+    otherwise drop extra components or fail on missing ones."""
+    if np.shape(state.m_curr) != (3,) + grid.shape:
+        raise ValueError(f"m_curr must have shape {(3,) + grid.shape}, "
+                         f"got {np.shape(state.m_curr)}")
+
+
 def _with_field(state: SchemeState, params: MaterialParams,
                 kernel: DemagKernel | None) -> SchemeState:
     """The state with f of both levels filled in, if the run has a local
@@ -212,7 +220,9 @@ def split_step(state: SchemeState, params: MaterialParams,
                kernel: DemagKernel | None, source) -> SchemeState:
     """One step of the split scheme `scheme`: the cyclic row sweep of the
     module docstring, then the projection. A lagged row given a state without
-    its lagged fields builds them first with `scheme_b_init`."""
+    its lagged fields builds them first with `scheme_b_init`. Raises
+    ValueError unless m_curr has shape (3,) + the plan's grid shape."""
+    _check_shape(state, plan.grid)
     state = _with_field(state, params, kernel)
     if scheme.lagged and (state.g_prev is None or state.d_prev is None):
         state = scheme_b_init(state, params, plan, dt, kernel=kernel)
@@ -310,14 +320,16 @@ def bdf2_reference_step(state: SchemeState, params: MaterialParams,
     f(m_hat)] + dt g for the three coupled components, preconditioned by the
     per-component heat solve (I - (2/3) eps dt Lap)^(-1), then projects.
     Raises KrylovError, naming the relative residual, when GMRES ends
-    unconverged or as soon as a restart cycle does not lower the residual.
+    unconverged or as soon as a restart cycle does not lower the residual,
+    and ValueError unless m_curr has shape (3,) + the plan's grid shape.
     """
     # imported here, not with the module: it adds about 10 MB to the resident
     # memory of every process, and only this reference scheme uses it
     import scipy.sparse.linalg
 
-    state = _with_field(state, params, kernel)
     grid = plan.grid
+    _check_shape(state, grid)
+    state = _with_field(state, params, kernel)
     m_hat, phi = _frozen_field(state, bdf2=True)
     src = _source_of(source, grid, state.t + dt)
     al = params.alpha

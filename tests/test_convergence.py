@@ -68,6 +68,22 @@ class TestIntegrateArguments:
         with pytest.raises(ValueError, match="dt"):
             self.run(dt, 3)
 
+    @pytest.mark.parametrize("shape,bad", [
+        ((4, 8, 1, 1), None), ((2, 8, 1, 1), None), ((3, 7, 1, 1), None),
+        ((3, 8, 1, 1), np.nan), ((3, 8, 1, 1), np.inf),
+    ], ids=["four-components", "two-components", "other-grid", "nan", "inf"])
+    def test_initial_field_must_be_finite_on_the_grid(self, shape, bad):
+        # a four-component m0 came back truncated to three, a two-component
+        # one raised IndexError, a non-finite one ran a step
+        grid = Grid.line(8)
+        m0 = np.zeros(shape)
+        m0[-1] = 1.0
+        if bad is not None:
+            m0[0, 3] = bad
+        with pytest.raises(ValueError,
+                           match=r"m0 must be a finite array of shape \(3, 8, 1, 1\)"):
+            integrate("scheme-a", m0, grid, MaterialParams(eps=1.0, alpha=0.1), 1e-3, 1)
+
     def test_valid_arguments(self):
         assert self.run(1e-3, 0).n_steps == 0
         res = self.run(1e-3, np.int64(3))

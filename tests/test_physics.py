@@ -9,9 +9,9 @@ import scipy.fft
 from gspm2 import physics
 from gspm2.mesh import Grid, laplacian, sample_vector
 from gspm2.physics import (MU0, DemagKernel, MaterialParams,
-                           PhysicalConstants, _displacements,
-                           build_demag_kernel, demag_field, demag_tensor_entry,
-                           energy, local_field, nondimensionalize)
+                           PhysicalConstants, build_demag_kernel, demag_field,
+                           demag_tensor_entry, energy, local_field,
+                           nondimensionalize)
 
 FILM_CONSTANTS = PhysicalConstants(A=1.3e-11, Ms=8.0e5, Ku=1.0e2,
                                    gamma=1.76e11, L=1.0e-6)
@@ -22,6 +22,16 @@ def uniform_field(grid, direction):
     return sample_vector(grid, lambda X, Y, Z: (np.full_like(X, d[0]),
                                                 np.full_like(X, d[1]),
                                                 np.full_like(X, d[2])))
+
+# the demag kernel's grids: odd and length-1 axes, tall and single-layer films
+KERNEL_GRIDS = [
+    ((1, 1, 1), (1.0, 0.8, 0.3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
+    ((1, 4, 2), (1.0, 0.8, 0.3)), ((6, 5, 2), (1.0, 0.8, 0.3)),
+    ((16, 16, 3), (1.0, 1.0, 0.02)), ((2, 3, 17), (0.3, 0.8, 0.1)),
+    ((16, 16, 1), (1.0, 1.0, 0.02)), ((7, 5, 3), (0.3, 0.7, 0.11)),
+]
+KERNEL_IDS = ["1x1x1", "5x3x1", "1x4x2", "6x5x2", "16x16x3-film", "2x3x17",
+              "16x16x1", "7x5x3"]
 
 
 class TestNondimensionalize:
@@ -196,35 +206,53 @@ class TestDemagTensor:
             # the whole padded lattice took 130 * 130 * 9 = 152,100
             assert set(seen.values()) == {66 * 66 * 6}
 
-    # odd and length-1 axes, and a non-dyadic hz whose shifted offsets differ
-    # from the lattice nodes in the last bit; the mirror on odd, tall and
-    # single-layer axes
-    @pytest.mark.parametrize("shape,spacing", [
-        ((1, 1, 1), (1.0, 0.8, 0.3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
-        ((1, 4, 2), (1.0, 0.8, 0.3)), ((6, 5, 2), (1.0, 0.8, 0.3)),
-        ((16, 16, 3), (1.0, 1.0, 0.02)), ((2, 3, 17), (0.3, 0.8, 0.1)),
-        ((16, 16, 1), (1.0, 1.0, 0.02)), ((7, 5, 3), (0.3, 0.7, 0.11)),
-    ], ids=["1x1x1", "5x3x1", "1x4x2", "6x5x2", "16x16x3-film", "2x3x17",
-            "16x16x1", "7x5x3"])
+    # a non-dyadic hz whose shifted offsets differ from the lattice nodes in
+    # the last bit, and the parity transforms on odd, tall and single-layer axes
+    @pytest.mark.parametrize("shape,spacing", KERNEL_GRIDS, ids=KERNEL_IDS)
     def test_kernel_is_the_entry_bit_for_bit(self, shape, spacing):
+        # the oracle: the entry on the half lattice, through the same transforms
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         k = build_demag_kernel(g)
+        X, Y, Z = np.meshgrid(*(np.arange(n + 1 if n > 1 else 1) * h
+                                for n, h in zip(shape, g.spacing)),
+                              indexing="ij", sparse=True)
         for i, comp in enumerate(("xx", "yy", "zz", "xy", "xz", "yz")):
-            block = _entry_block(g, k.padded_shape, comp)
-            # the real transform on x, complex ones on y and z, real part kept
-            spectrum = scipy.fft.rfftn(block, axes=(1, 2, 0)).real
+            half = np.broadcast_to(demag_tensor_entry(comp, X, Y, Z, g.spacing),
+                                   np.broadcast_shapes(X.shape, Y.shape, Z.shape))
+            odd = [i >= 3 and name in comp for name in "xyz"]
+            spectrum = physics._parity_spectrum(half, odd, np.empty_like(k.fft[comp]))
             assert k.fft[comp].tobytes() == spectrum.tobytes(), comp
             if i < 3:
-                assert k.self_diag[i].tobytes() == block[0, 0, 0].tobytes(), comp
+                assert k.self_diag[i].tobytes() == half[0, 0, 0].tobytes(), comp
+
+    @pytest.mark.parametrize("shape,spacing", KERNEL_GRIDS, ids=KERNEL_IDS)
+    def test_kernel_is_the_entry_blocks_transform(self, shape, spacing):
+        # independent of the parity transforms: the complex FFT of the entry
+        # block on the whole padded lattice, real part kept
+        g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
+        k = build_demag_kernel(g)
+        scale = max(np.abs(a).max() for a in k.fft.values())
+        for comp, spectrum in k.fft.items():
+            block = _entry_block(g, k.padded_shape, comp)
+            expected = scipy.fft.rfftn(block, axes=(1, 2, 0)).real
+            assert np.abs(spectrum - expected).max() <= 1e-15 * scale, comp
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (5, 3, 1)],
+                             ids=["16x16x1", "5x3x1"])
+    def test_single_layer_xz_yz_are_zero(self, shape):
+        # odd along z, a length-1 axis: no z offset but 0, whose entry is 0
+        k = build_demag_kernel(Grid(*shape, *(float(n) for n in shape[:2]), 0.02))
+        for comp in ("xz", "yz"):
+            assert not k.fft[comp].any(), comp
 
     @pytest.mark.parametrize("shape,spacing", [
         ((64, 64, 3), (1 / 64, 0.8 / 64, 0.02 / 3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
         ((2, 3, 17), (1.0, 1.0, 0.5)), ((16, 16, 1), (1.0, 1.0, 0.02)),
     ], ids=["64x64x3-film", "5x3x1", "2x3x17", "16x16x1"])
     def test_spectra_are_real(self, shape, spacing):
-        # the premise of keeping only the real part: with slot n zeroed along
-        # the odd axes, every entry block has exact parity, so its imaginary
-        # part is rounding
+        # the premise of the real transforms: with slot n zeroed along the odd
+        # axes, every entry block has exact parity, so the imaginary part of
+        # its complex spectrum is rounding
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         padded = build_demag_kernel(g).padded_shape
         for comp in ("xx", "yy", "zz", "xy", "xz", "yz"):
@@ -233,12 +261,13 @@ class TestDemagTensor:
             assert imag <= 1e-15 * real, (comp, imag / real)
 
     def test_build_peak_memory_bound(self):
-        # 64x64x4 padded blocks of 128 KiB; the six spectra hold 1.1 MiB.
-        # The build peaks at 1.44 MiB: the half block (33x33x3) is small, and
-        # the peak is a mirrored block with its complex transform beside the
-        # spectra. It peaked at 1.36 MiB when it took the differences over the
-        # whole padded lattice, and at 1.8 MiB when it evaluated the potential
-        # on that lattice directly; holding every shifted block would not fit.
+        # 64x64x4 padded lattice; the six real spectra hold 0.39 MiB and the
+        # kernel's slab buffers 0.84 MiB. The build peaks at 1.26 MiB, 0.03
+        # MiB above what the finished kernel holds: the half block (33x33x3)
+        # and its transforms are small. It peaked at 1.44 MiB when it
+        # mirrored the half block and took its complex transform, 1.36 MiB
+        # when it took the differences over the whole padded lattice, and
+        # 1.8 MiB when it evaluated the potential on that lattice directly.
         g = Grid(32, 32, 2, 32.0, 32.0, 0.04)
         build_demag_kernel(g)
         tracemalloc.start()
@@ -247,7 +276,7 @@ class TestDemagTensor:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 2 ** 20, peak
+        assert peak <= 1.5 * 2 ** 20, peak
 
     def test_kernel_spectra_bytes(self):
         # six real (px//2 + 1, py, pz) spectra: 2.40 MB at 64x64x3
@@ -258,6 +287,14 @@ class TestDemagTensor:
         assert all(a.dtype == np.float64 and a.flags.c_contiguous
                    for a in k.fft.values())
         assert sum(a.nbytes for a in k.fft.values()) == 6 * (px // 2 + 1) * py * pz * 8
+
+
+def _displacements(n):
+    """Padded-axis slot -> signed cell offset; slot n maps to -n."""
+    if n == 1:
+        return np.zeros(1, dtype=int)
+    idx = np.arange(2 * n)
+    return np.where(idx < n, idx, idx - 2 * n)
 
 
 def _entry_block(g, padded, comp):
@@ -652,6 +689,23 @@ class TestEnergy:
         h_eff = params.eps * laplacian(g, m) + local_field(params, m, k)
         expected = -(h_eff * v).sum() * g.cell_volume
         assert abs(fd - expected) <= 1e-6 * abs(expected)
+
+    @pytest.mark.parametrize("m_shape,field_shape", [
+        ((3, 5, 3, 2), None), ((2, 4, 3, 2), None), ((3, 4, 3, 2), (3, 1, 1, 1)),
+        ((3, 4, 3, 2), (3, 4, 3)),
+    ], ids=["m-of-another-grid", "m-of-two-components", "broadcast-field",
+            "field-of-another-shape"])
+    def test_rejects_wrong_shape(self, m_shape, field_shape):
+        # m of 5x3x2 against a 4x3x2 grid gave a number, and so did a field
+        # that only broadcasts
+        g = Grid(4, 3, 2, 1.0, 1.0, 1.0)
+        params = MaterialParams(eps=1.0, alpha=0.1, q=0.5)
+        rng = np.random.default_rng(26)
+        m = rng.standard_normal(m_shape)
+        m /= np.sqrt((m * m).sum(axis=0))
+        field = None if field_shape is None else np.ones(field_shape)
+        with pytest.raises(ValueError, match=r"must have shape \(3, 4, 3, 2\)"):
+            energy(params, g, m, field=field)
 
     def test_warns_off_sphere(self):
         g = Grid(2, 1, 1, 1.0, 1.0, 1.0)

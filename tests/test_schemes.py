@@ -54,6 +54,20 @@ class TestExtrapolate:
             extrapolate(np.zeros((3, 2, 1, 1)), np.zeros((3, 3, 1, 1)))
 
 
+class TestStateShape:
+    @pytest.mark.parametrize("name", sorted(ALL_STEPPERS))
+    @pytest.mark.parametrize("shape", [(4, 8, 1, 1), (2, 8, 1, 1), (3, 7, 1, 1)],
+                             ids=["four-components", "two-components", "other-grid"])
+    def test_rejects_a_state_of_another_shape(self, name, shape):
+        grid = Grid.line(8)
+        m = np.zeros(shape)
+        m[0] = 1.0
+        with pytest.raises(ValueError, match=r"m_curr must have shape \(3, 8, 1, 1\)"):
+            ALL_STEPPERS[name](SchemeState.from_initial(m),
+                               MaterialParams(eps=1.0, alpha=0.1),
+                               build_plan(grid), 1e-3)
+
+
 class TestProject:
     def test_simple_values(self):
         m = np.zeros((3, 2, 1, 1))
