@@ -194,13 +194,21 @@ class ExperimentConfig:
                                   f"distinct finite positive numbers, got {values!r}")
 
     def _steps(self, t_name: str, dt_name: str, dt):
-        """Reject a run of this config that would take no step, or a count
-        beyond floats: the run takes round(t_final / dt) steps."""
+        """Reject a run of this config that would take no step, a count
+        beyond floats, or a step that does not divide the final time (to
+        1e-9 relative, the rule of `cells_across`): the run takes
+        round(t_final / dt) steps and would otherwise stop short of t_final
+        or run past it."""
         t_final = getattr(self, t_name)
         steps = t_final / dt
         if not (math.isfinite(steps) and round(steps) >= 1):
             raise ConfigError(f"{self.kind} needs at least one step and a finite "
                               f"count, got {t_name}={t_final!r}, {dt_name}={dt!r}")
+        try:
+            cells_across(t_final, dt)
+        except ValueError:
+            raise ConfigError(f"{self.kind}: {dt_name}={dt!r} does not divide "
+                              f"{t_name}={t_final!r} into whole steps") from None
 
     def _object(self, name: str, table: dict, where: str | None = None):
         """Resolve the nested object `name` against `table` in place."""

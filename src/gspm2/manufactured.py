@@ -198,9 +198,17 @@ class ManufacturedCase:
         d0 = m1 * c2 - m2 * c1
         d1 = m2 * c0 - m0 * c2
         d2 = m0 * c1 - m1 * c0
-        return np.stack([f.cos_u * ct + c0 + self.alpha * d0,
-                         f.sin_u * ct + c1 + self.alpha * d1,
-                         -st + c2 + self.alpha * d2])
+        # g_i = dm_i/dt + c_i + alpha d_i, summed in that order, written
+        # into the stack it is returned in
+        g = np.empty((3,) + f.shape)
+        np.multiply(f.cos_u, ct, out=g[0])
+        np.multiply(f.sin_u, ct, out=g[1])
+        g[2] = -st
+        for g_i, c_i, d_i in zip(g, (c0, c1, c2), (d0, d1, d2)):
+            g_i += c_i
+            d_i *= self.alpha
+            g_i += d_i
+        return g
 
 
 def case_1d(alpha: float, phase: str = "bump") -> ManufacturedCase:

@@ -470,13 +470,19 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     when given, is taken as f(m) in place of a `local_field` call; it is
     only read, so a state's carried f can be passed. Raises ValueError
     unless m, and `field` when given, have shape (3,) + grid.shape.
+
+    Each exchange term is one `np.diff` and one `np.einsum` sum of squares
+    per axis; the field term is one `np.einsum` of f.m, plus h_ext_c times
+    the sum of m_c for each nonzero component, with no f + h_ext array.
+    einsum and sum reduce in numpy's own loops, not through the BLAS, so
+    the energy, and energy.csv, are the same at any BLAS thread count.
     """
     m = np.asarray(m, dtype=float)
     shape = (3,) + grid.shape
     for name, value in (("m", m), ("field", field)):
         if value is not None and np.shape(value) != shape:
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
-    mag2 = (m * m).sum(axis=0)
+    mag2 = np.einsum("c...,c...->...", m, m)
     if abs(mag2.max() - 1.0) > 1e-6 or abs(mag2.min() - 1.0) > 1e-6:
         warnings.warn("energy() evaluated on a field that is not unit length",
                       stacklevel=2)
@@ -484,10 +490,14 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     total = 0.0
     for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         if n > 1:
-            d = np.diff(m, axis=axis + 1) / h
-            total += 0.5 * params.eps * (d * d).sum() * vol
+            d = np.diff(m, axis=axis + 1)
+            total += 0.5 * params.eps * np.einsum("cxyz,cxyz->", d, d) / (h * h) * vol
     if params.has_local_field:
         f = local_field(params, m, kernel) if field is None else field
-        f = f + np.asarray(params.h_ext, dtype=float)[:, None, None, None]
-        total -= 0.5 * (f * m).sum() * vol
+        fm = np.einsum("cxyz,cxyz->", f, m)
+        # (f + h_ext).m without the sum as an array: h_ext is uniform
+        for h_c, m_c in zip(params.h_ext, m):
+            if h_c != 0.0:
+                fm += h_c * m_c.sum()
+        total -= 0.5 * fm * vol
     return float(total)

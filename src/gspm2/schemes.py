@@ -43,6 +43,13 @@ and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
   (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0; a step from a
   state without them calls it first.
 
+The sweep keeps h and g as (3, ...) arrays of its own (copies where they
+would be the state's) and writes the rows into one preallocated m* with
+out= and in-place operations, each one operation of the expression above in
+Python's evaluation order, so the rows are bit for bit those of the plain
+expression; beyond m* the rows need two scratch planes. m* is then
+projected in place.
+
 `bdf2_reference_step` is a fully coupled semi-implicit solve used as a
 reference integrator.
 
@@ -117,29 +124,34 @@ def extrapolate(m_prev: np.ndarray, m_curr: np.ndarray) -> np.ndarray:
 
 
 def _normalized(m: np.ndarray, context: str, magnitude_cap: float | None) -> np.ndarray:
+    """m divided, in place, by its per-cell magnitude; BlowUpError first if a
+    magnitude is non-finite (a NaN or inf anywhere makes their max so),
+    above `magnitude_cap` or below PROJECTION_FLOOR."""
     mag = pointwise_magnitude(m)
-    if not np.isfinite(mag).all():
+    top = mag.max()
+    if not np.isfinite(top):
         raise BlowUpError(f"non-finite magnetization in {context}")
-    if magnitude_cap is not None and mag.max() > magnitude_cap:
+    if magnitude_cap is not None and top > magnitude_cap:
         cell = tuple(int(c) for c in np.unravel_index(int(mag.argmax()), mag.shape))
         raise BlowUpError(
-            f"pre-projection magnitude {mag.max():.3g} > {magnitude_cap} at cell "
+            f"pre-projection magnitude {top:.3g} > {magnitude_cap} at cell "
             f"{cell} in {context}")
     if mag.min() < PROJECTION_FLOOR:
         cell = tuple(int(c) for c in np.unravel_index(int(mag.argmin()), mag.shape))
         raise BlowUpError(
             f"magnitude {mag.min():.3g} below {PROJECTION_FLOOR} at cell {cell} "
             f"in {context}")
-    return m / mag
+    m /= mag
+    return m
 
 
 def project(m: np.ndarray) -> np.ndarray:
-    """Normalize each cell onto the unit sphere.
+    """Normalize each cell onto the unit sphere, in a copy: m is unchanged.
 
     A magnitude below 1e-12 anywhere is a hard error naming the cell; it
     signals blow-up and is what the stability scanner listens for.
     """
-    return _normalized(np.asarray(m, dtype=float), "projection", None)
+    return _normalized(np.array(m, dtype=float), "projection", None)
 
 
 def unit_length_deviation(m: np.ndarray) -> float:
@@ -188,13 +200,23 @@ def _source_of(source, grid, t: float) -> np.ndarray | None:
 def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
             params: MaterialParams, kernel, g_prev=None,
             d_prev=None) -> SchemeState:
-    """Project onto the sphere; evaluate the step's one pointwise field on
-    the projected m^(n+1) and shift the carried pair along."""
+    """Project m_star, which the step owns, onto the sphere in place;
+    evaluate the step's one pointwise field on the projected m^(n+1) and
+    shift the carried pair along."""
     m_next = _normalized(m_star, context, BLOWUP_MAGNITUDE)
     f_next = local_field(params, m_next, kernel) if params.has_local_field else None
     return SchemeState(m_prev=state.m_curr, m_curr=m_next, t=state.t + dt,
                        step_index=state.step_index + 1, g_prev=g_prev,
                        d_prev=d_prev, f_prev=state.f_curr, f_curr=f_next)
+
+
+def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """u0 v0 + u1 v1 + u2 v2 into `out`, summed left to right; `tmp` is
+    scratch of the same shape."""
+    np.multiply(u[0], v[0], out=out)
+    out += np.multiply(u[1], v[1], out=tmp)
+    out += np.multiply(u[2], v[2], out=tmp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,29 +258,51 @@ def split_step(state: SchemeState, params: MaterialParams,
         return spectral.solve(plan, x if f is None else x + dt * f[i], a, b)
 
     mp, mc, alpha = state.m_prev, state.m_curr, params.alpha
-    base = 2.0 * mc - 0.5 * mp if scheme.bdf2 else mc
-    g = list(state.g_prev if scheme.lagged else solve(h, ...))
-    h, rows = list(h), []
+    # g and h become this step's work arrays; neither may be the state's
+    g = state.g_prev.copy() if scheme.lagged else solve(h, ...)
+    if not scheme.bdf2 and scheme.refreshed:
+        h = h.copy()
+    m_star = np.empty_like(mc)
+    t, s = np.empty_like(mc[0]), np.empty_like(mc[0])
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        m_i = (base[i] - (h[j] * g[k] - h[k] * g[j])
-               - alpha * (h[0] * g[0] + h[1] * g[1] + h[2] * g[2]) * h[i]
-               + alpha * (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) * g[i])
-        if src is not None:
-            m_i += dt * src[i]
+        row = m_star[i]
+        np.multiply(h[j], g[k], out=t)
+        np.multiply(h[k], g[j], out=s)
+        np.subtract(t, s, out=t)
         if scheme.bdf2:
-            m_i *= 2.0 / 3.0
-        rows.append(m_i)
+            np.multiply(mc[i], 2.0, out=row)
+            np.multiply(mp[i], 0.5, out=s)
+            row -= s
+            row -= t
+        else:
+            np.subtract(mc[i], t, out=row)
+        _dot(h, g, t, s)
+        t *= alpha
+        t *= h[i]
+        row -= t
+        _dot(h, h, t, s)
+        t *= alpha
+        t *= g[i]
+        row += t
+        if src is not None:
+            row += np.multiply(src[i], dt, out=t)
+        if scheme.bdf2:
+            row *= 2.0 / 3.0
         if i < scheme.refreshed:
-            h[i] = 2.0 * m_i - 2.0 * mc[i] + mp[i] if scheme.bdf2 else m_i
+            if scheme.bdf2:
+                np.multiply(row, 2.0, out=h[i])
+                h[i] -= np.multiply(mc[i], 2.0, out=t)
+                h[i] += mp[i]
+            else:
+                h[i] = row
             g[i] = solve(h[i], i)
     context = f"{scheme.name} step {state.step_index}"
     if not scheme.lagged:
-        return _finish(state, np.stack(rows), dt, context, params, kernel)
-    q = np.stack(g)
-    return _finish(state, np.stack(rows), dt, context, params, kernel,
-                   g_prev=q + state.d_prev,
-                   d_prev=0.5 * (q + 2.0 * state.d_prev - state.g_prev))
+        return _finish(state, m_star, dt, context, params, kernel)
+    return _finish(state, m_star, dt, context, params, kernel,
+                   g_prev=g + state.d_prev,
+                   d_prev=0.5 * (g + 2.0 * state.d_prev - state.g_prev))
 
 
 def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,

@@ -165,11 +165,22 @@ class TestMainExitCodes:
          "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.001, 0.001]},
         # numpy's generator rejects it inside the run
         dict(MICROMAG_SMALL, initial={"type": "random"}, seed=-1),
+        # steps that do not divide the final time used to be rounded: one
+        # 3 ps step for 4 ps, two 1 ps steps for 1.6 ps
+        dict(MICROMAG_SMALL, grid=[4, 4, 1], dt_seconds=3e-12,
+             t_final_seconds=4e-12),
+        dict(MICROMAG_SMALL, t_final_seconds=1.6e-12),
+        {"kind": "converge-time", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dx": 0.1, "t_final": 0.1, "dt_list": [0.05, 0.03]},
+        {"kind": "converge-space", "scheme": "scheme-a", "case": "mms-1d",
+         "alpha": 0.01, "dt": 3e-3, "t_final": 0.01, "dx_list": [0.25, 0.125]},
     ], ids=["infinite-duration", "one-step-size", "params-eps-string",
             "constants-negative", "initial-string", "integer-beyond-float",
             "time-dx-off-domain", "space-dx-off-domain", "stability-h-off-domain",
             "2d-dx-off-domain", "bracket-not-straddling", "time-no-step",
-            "space-no-step", "time-repeated-step", "negative-seed"])
+            "space-no-step", "time-repeated-step", "negative-seed",
+            "micromag-dt-not-dividing", "micromag-t-final-not-dividing",
+            "time-dt-not-dividing", "space-dt-not-dividing"])
     def test_config_numbers_that_crash_a_run_are_2(self, tmp_path, capsys, payload):
         cfg_path = write_cfg(tmp_path, payload)
         assert main([payload["kind"], "--config", cfg_path,

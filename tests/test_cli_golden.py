@@ -3,7 +3,9 @@
 One small config per run kind and scheme goes through `cli.run` and
 `cli.emit`; the sha256 of every deterministic file it writes (config.json,
 report.json, energy.csv, errors.csv and the VTK files) must equal the stored
-one. timing.csv holds wall times and is never pinned.
+one. timing.csv holds wall times and is never pinned. One more test reruns a
+film config, and one 64x64x3 solve, in a process held to one BLAS thread and
+requires the same bytes: the outputs must not depend on the thread count.
 
 The fixture `data/golden_cli.json` is tied to the numpy/scipy builds, the
 BLAS build and the CPU it was made on. To regenerate it, check out the commit whose outputs are
@@ -17,8 +19,11 @@ It prints each digest that differs from the fixture it overwrites.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from gspm2.cli import emit, run
@@ -98,6 +103,31 @@ def golden():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_byte_identical_to_fixture(golden, name):
     assert _digests(name) == golden[name]
+
+
+def _film_solve_digest():
+    """sha256 of one stacked solve on the 64x64x3 film grid, whose products
+    are large enough for the BLAS to split across threads."""
+    from gspm2.mesh import Grid
+    from gspm2.spectral import build_plan, solve
+    plan = build_plan(Grid(64, 64, 3, 1.0, 1.0, 0.02))
+    f = np.random.default_rng(4).standard_normal((3, 64, 64, 3))
+    return hashlib.sha256(solve(plan, f, 0.1, 0.01).tobytes()).hexdigest()
+
+
+def test_outputs_independent_of_blas_thread_count():
+    """A process held to one BLAS thread writes the same bytes as this one,
+    which has the BLAS's default pool: the CSV/JSON/VTK outputs of a film
+    run and one film solve agree bit for bit."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import json, test_cli_golden as t; print(json.dumps("
+            "[t._digests('micromag-scheme-a'), t._film_solve_digest()]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [_digests("micromag-scheme-a"), _film_solve_digest()]
 
 
 def test_changes_names_each_differing_digest():

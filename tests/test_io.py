@@ -198,6 +198,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
 
+    # a step that does not divide the final time: the run took round(t / dt)
+    # steps and stopped at 3 ps for 4 ps, or ran to 2 ps for 1.6 ps
+    STEPS_NOT_DIVIDING = [
+        ("micromag", {"grid": [4, 4, 1], "dt_seconds": 3e-12,
+                      "t_final_seconds": 4e-12},
+         r"dt_seconds=3e-12 does not divide t_final_seconds=4e-12"),
+        ("micromag", {"t_final_seconds": 1.6e-12},
+         r"dt_seconds=1e-12 does not divide t_final_seconds=1.6e-12"),
+        ("converge-time", {"dt_list": [0.0015, 0.0007]},
+         r"dt=0.0007 does not divide t_final=0.3"),
+        ("converge-space", {"dt": 3e-5},
+         r"dt=3e-05 does not divide t_final=0.05"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,change,message", STEPS_NOT_DIVIDING,
+        ids=[f"{k}-{'-'.join(f'{n}={v}' for n, v in c.items())}"
+             for k, c, _ in STEPS_NOT_DIVIDING])
+    def test_step_not_dividing_final_time(self, kind, change, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(self.BY_KIND[kind], **change))
+
+    def test_steps_dividing_to_rounding_pass(self):
+        # 2 ns over 1 ps and 0.3 over 0.3/7 are whole counts up to rounding
+        ExperimentConfig.from_dict(dict(self.BY_KIND["micromag"],
+                                        t_final_seconds=2e-9))
+        ExperimentConfig.from_dict(dict(self.BY_KIND["converge-time"],
+                                        dt_list=[0.3 / 7, 0.3 / 11]))
+
     # a missing kind, and fields malformed for their kind; None drops the
     # field; (kind, change, message)
     BAD_FIELDS = [

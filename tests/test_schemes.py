@@ -90,6 +90,19 @@ class TestProject:
         with pytest.raises(BlowUpError, match="non-finite magnetization in projection"):
             project(m)
 
+    def test_inf_cell_is_hard_error(self):
+        m = np.ones((3, 2, 1, 1))
+        m[1, 0] = np.inf
+        with pytest.raises(BlowUpError, match="non-finite magnetization in projection"):
+            project(m)
+
+    def test_input_unchanged(self):
+        m = np.random.default_rng(42).standard_normal((3, 4, 3, 2)) * 3.0
+        before = m.copy()
+        p = project(m)
+        assert m.tobytes() == before.tobytes()
+        assert not np.shares_memory(p, m)
+
     def test_result_unit_to_4eps(self):
         rng = np.random.default_rng(41)
         m = rng.standard_normal((3, 6, 5, 4)) * 3.0
@@ -252,6 +265,47 @@ class TestCarriedStrayField:
         res = integrate("scheme-a", random_unit_field(grid, 35), grid, params,
                         1e-3, 3)
         assert res.state.f_prev is None and res.state.f_curr is None
+
+
+class TestInputsUnchanged:
+    """Every stepper, and scheme_b_init, leaves each array of its input state
+    bit for bit as it was and returns arrays that share no memory with them,
+    though the sweep and the projection work in place on their own
+    buffers."""
+
+    FIELDS = ("m_prev", "m_curr", "g_prev", "d_prev", "f_prev", "f_curr")
+
+    @staticmethod
+    def source(X, Y, Z, t):
+        return np.stack([np.sin(X + t), Y * Z, np.cos(Z) * t])
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["bare", "carried"])
+    @pytest.mark.parametrize("name", sorted(ALL_STEPPERS) + ["scheme-b-init"])
+    def test_input_unchanged_and_output_fresh(self, name, carried):
+        grid, params, kernel = stray_film()
+        plan = build_plan(grid)
+        dt = 1e-3
+        state = SchemeState(m_prev=random_unit_field(grid, 61),
+                            m_curr=random_unit_field(grid, 62), t=0.5)
+        if carried:  # f of both levels, g and d
+            state = scheme_b_init(state, params, plan, dt, kernel=kernel)
+        inputs = {k: getattr(state, k) for k in self.FIELDS
+                  if getattr(state, k) is not None}
+        before = {k: v.tobytes() for k, v in inputs.items()}
+        if name == "scheme-b-init":
+            out = scheme_b_init(state, params, plan, dt, kernel=kernel)
+            made = ("g_prev", "d_prev")
+        else:
+            out = ALL_STEPPERS[name](state, params, plan, dt, kernel=kernel,
+                                     source=self.source)
+            made = ("m_curr", "f_curr", "g_prev", "d_prev")
+        for k, v in inputs.items():
+            assert v.tobytes() == before[k], f"{name} changed {k}"
+        for k in made:
+            new = getattr(out, k)
+            assert new is not None or k in ("g_prev", "d_prev")
+            for old_k, old in inputs.items():
+                assert new is None or not np.shares_memory(new, old), (k, old_k)
 
 
 class TestSchemeBInit:
