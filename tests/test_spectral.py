@@ -1,3 +1,21 @@
+"""Tests of the spectral solver: eigenvalues, transforms, solves, the dense
+oracle, and one stacked solve per transform layout pinned bit for bit.
+
+The fixture `data/golden_spectral.json` holds the sha256 of one stacked
+solve per grid of GOLDEN_SHAPES. Like the other golden fixtures it is tied
+to the numpy/scipy builds, the BLAS build and the CPU it was made on. To
+regenerate it, check out the commit whose solves are the reference and run,
+from the repo root,
+
+    PYTHONPATH=src python tests/test_spectral.py
+
+It prints each digest that differs from the fixture it overwrites.
+"""
+
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -6,11 +24,18 @@ from gspm2.mesh import Grid, laplacian
 from gspm2.spectral import (DENSE_AXIS_MAX, build_plan, dct_matrix,
                             dense_operator_matrix, laplacian_eigenvalues, solve,
                             solve_dense_oracle)
+from test_cli_golden import changes
 
 # an axis at the dense-transform limit and one just beyond it, alone and mixed
 D, P = DENSE_AXIS_MAX, DENSE_AXIS_MAX + 1
 DENSE_LIMIT_SHAPES = [(D, 1, 1), (P, 1, 1), (1, D, 1), (1, 1, P), (P, 5, 1),
                       (3, 1, P + 1), (D, 3, 2), (2, P, 3)]
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_spectral.json")
+# a line, the 10,000-cell line, the reduced film, a grid with one long axis
+# and a short last one, and the production film
+GOLDEN_SHAPES = [(40, 1, 1), (10000, 1, 1), (64, 64, 3), (128, 32, 1),
+                 (250, 250, 5)]
 
 
 class TestEigenvalues:
@@ -202,3 +227,43 @@ class TestDenseOracle:
             w = solve_dense_oracle(g, f, a, b)
             denom = max(1.0, np.abs(w).max())
             assert np.abs(u - w).max() / denom < 1e-10
+
+
+def _solve_digests(shape):
+    """{"stacked": sha256} of one stacked solve on a grid of `shape`."""
+    plan = build_plan(Grid(*shape, 1.0, 1.0, 0.02))
+    f = np.random.default_rng(4).standard_normal((3,) + shape)
+    return {"stacked": hashlib.sha256(solve(plan, f, 0.1, 0.01).tobytes()).hexdigest()}
+
+
+def _name(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=_name)
+def test_solve_bit_identical_to_fixture(shape):
+    with open(FIXTURE) as fh:
+        golden = json.load(fh)
+    assert _solve_digests(shape) == golden[_name(shape)]
+
+
+def regenerate(path=FIXTURE):
+    """Overwrite the fixture; print each digest that differs from the old one."""
+    table = {_name(shape): _solve_digests(shape) for shape in GOLDEN_SHAPES}
+    old = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+    lines = changes(old, table)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(table)} digests differ from the old fixture")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+if __name__ == "__main__":
+    print(regenerate())
