@@ -7,22 +7,21 @@ division by the symbol 1 - a*lam + b*lam^2, and one inverse transform. For
 a, b >= 0 and lam <= 0 the symbol is >= 1, so the operator is always
 invertible and the division is well conditioned.
 
-A grid axis of at most DENSE_AXIS_MAX cells is transformed by a BLAS
-product with the orthonormal DCT-II matrix C (C^T for the inverse), built in
-closed form once per length at the first transform that needs it. On such
-axes a pocketfft call costs more in per-call and per-line overhead than the
-O(n) products do in arithmetic. Longer axes go through scipy.fft's dctn.
-The two paths agree to rounding (about 1e-15 relative), not bit for bit.
-
-A grid with at least two axes longer than 1 and none longer than
-DENSE_AXIS_MAX (a film, a 2D grid, a small cube) takes one product per axis
-on a transposed view, each output putting the next axis first: (x, y, z) ->
-(y, z, x') -> (z, x', y') -> (x', y', z'). The middle axis of a film is then
-one product, not one thin product per x-cell. A line, or a grid with a
-pocketfft axis, takes one product per dense axis in the grid's own layout.
-Either way a (3, ...) stack is the batch of its components' products, so it
-matches per-component solves bit for bit. Tier-1 checks that a film solve
-is bit for bit the same with one BLAS thread as with the default pool.
+A grid takes one of two transform layouts. Where no axis is longer than
+DENSE_AXIS_MAX (a line, a film, a small cube), each axis longer than 1 takes
+one BLAS product with the orthonormal DCT-II matrix C (C^T for the inverse),
+built in closed form once per length. The products run on a transposed
+view, each output putting the next axis first: (x, y, z) -> (y, z, x') ->
+(z, x', y') -> (x', y', z'). On such axes a pocketfft call costs more in
+per-call and per-line overhead than the O(n) products do in arithmetic.
+Any other grid goes through scipy.fft's dctn over every axis longer than 1,
+except its last such axis when that axis is short: that one takes a single
+product in the grid's own layout, rows times C^T, after the pocketfft axes
+in both directions. The two paths agree to rounding (about 1e-15
+relative), not bit for bit. Either way a (3, ...) stack is the batch of its
+components' transforms, so it matches per-component solves bit for bit.
+Tier-1 checks that a film solve is bit for bit the same with one BLAS
+thread as with the default pool.
 """
 
 from __future__ import annotations
@@ -69,19 +68,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return _dct_pair(n)[0]
 
 
-def _dense_along(u: np.ndarray, M: np.ndarray, MT: np.ndarray,
-                 part: tuple, right: bool) -> np.ndarray:
-    """Apply the square matrix M, whose transpose is MT, along one grid axis
-    of u: its grid shape seen as `part`, with the axis last (`right`, a
-    product u @ MT) or in the middle (M @ u).
-
-    The leading (component) axes stay outer, so a stack makes the same
-    products as each of its components alone and matches them bit for bit.
-    """
-    v = u.reshape(u.shape[:-3] + part)
-    return (v @ MT if right else M @ v).reshape(u.shape)
-
-
 def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
     """Transform u along its grid axes of the given lengths, x to z, by the
     DCT-II matrix C or, if `inverse`, by C^T: one product per axis.
@@ -90,8 +76,10 @@ def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
     grid as the transpose of an (n, rest) matrix, times C^T (or C) on the
     right, and its (rest, n) result puts the next axis first: (x, y, z) ->
     (y, z, x') -> (z, x', y') -> (x', y', z'). After the last axis the
-    layout is the grid's again. The leading (component) axes are the
-    product's batch, so a stack matches its components bit for bit.
+    layout is the grid's again. Axes of length 1 transform to themselves and
+    are left out of `lengths`; with none left, the result is a view of u.
+    The leading (component) axes are the product's batch, so a stack
+    matches its components bit for bit.
     """
     shape, lead = u.shape, u.shape[:-3]
     for n in lengths:
@@ -101,37 +89,29 @@ def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_layout(shape: tuple) -> tuple[tuple, tuple, tuple]:
+def _axis_layout(shape: tuple) -> tuple[tuple, tuple, tuple | None]:
     """How a grid of `shape` is transformed: (the axes left to pocketfft,
     counted from the end; the lengths of the axes `_rotated` takes, x to z;
-    each other dense axis as (length, grid shape seen by the product,
-    whether the axis is last in it)).
+    the grid shape seen by the trailing product, or None).
 
-    Length-1 axes transform to themselves and are skipped. A grid of two or
-    three axes, none longer than DENSE_AXIS_MAX, takes the rotated products.
-    A line, or a grid with a pocketfft axis, takes one `_dense_along`
-    product per dense axis: on a line that product is the rotated one, but
-    `_dense_along` reaches it with less per-call work (12.6 against 13.6 us
-    for a 40-cell stacked solve), which the tens-of-cells studies notice.
-    The transforms act on the last three axes, so a (3, nx, ny, nz) stack
-    goes per component. Cached per shape: the studies build a plan for
-    every run, and the cache keeps that about 4 us cheaper on small grids.
+    Axes of length 1 transform to themselves and are skipped. A grid with
+    no axis longer than DENSE_AXIS_MAX takes the rotated products. Any other
+    grid goes to pocketfft, except its last axis longer than 1 when that
+    axis is short: it takes one product, rows times C^T, on the grid seen as
+    its axes up to that one, padded in front with 1s to three (the axes
+    after it have length 1). The transforms act on the last three axes, so
+    a (3, nx, ny, nz) stack goes per component. Cached per shape: the
+    studies build a plan for every run, and the cache keeps that about 4 us
+    cheaper on small grids.
     """
-    axes = tuple(ax for ax, n in enumerate(shape) if n > 1) or (0,)
-    fft_axes = tuple(ax - 3 for ax in axes if shape[ax] > DENSE_AXIS_MAX)
-    if len(axes) > 1 and not fft_axes:
-        return (), tuple(shape[ax] for ax in axes), ()
-    dense_axes = []
-    for ax in axes:
-        n, before, after = shape[ax], shape[:ax], math.prod(shape[ax + 1:])
-        if n > DENSE_AXIS_MAX:
-            continue
-        if after == 1:  # rows times C^T, batched over the axis before
-            part = (1,) * (2 - ax) + before + (n,)
-        else:           # C times the (n, after) slab of each cell before
-            part = (math.prod(before), n, after)
-        dense_axes.append((n, part, after == 1))
-    return fft_axes, (), tuple(dense_axes)
+    axes = [ax for ax, n in enumerate(shape) if n > 1]
+    if all(shape[ax] <= DENSE_AXIS_MAX for ax in axes):
+        return (), tuple(shape[ax] for ax in axes), None
+    tail = None
+    if shape[axes[-1]] <= DENSE_AXIS_MAX:
+        ax = axes.pop()
+        tail = (1,) * (2 - ax) + shape[:ax + 1]
+    return tuple(ax - 3 for ax in axes), (), tail
 
 
 class SpectralPlan:
@@ -154,30 +134,29 @@ class SpectralPlan:
             + self.lam_y[None, :, None]
             + self.lam_z[None, None, :]
         )
-        self._fft_axes, self._rotated, self._dense_axes = _axis_layout(grid.shape)
+        self._fft_axes, self._rotated, self._tail = _axis_layout(grid.shape)
         self.solve_count = 0
         self._symbol_key = None
         self._symbol = None
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        if self._rotated:
+        if not self._fft_axes:
             return _rotated(u, self._rotated, inverse=False)
-        if self._fft_axes:
-            u = scipy.fft.dctn(u, type=2, norm="ortho", axes=self._fft_axes)
-        for n, part, right in self._dense_axes:
-            C, CT = _dct_pair(n)
-            u = _dense_along(u, C, CT, part, right)
-        return u
+        u = scipy.fft.dctn(u, type=2, norm="ortho", axes=self._fft_axes)
+        return u if self._tail is None else self._trailing(u, inverse=False)
 
     def inverse(self, u_hat: np.ndarray) -> np.ndarray:
-        if self._rotated:
+        if not self._fft_axes:
             return _rotated(u_hat, self._rotated, inverse=True)
-        if self._fft_axes:
-            u_hat = scipy.fft.idctn(u_hat, type=2, norm="ortho", axes=self._fft_axes)
-        for n, part, right in self._dense_axes:
-            C, CT = _dct_pair(n)
-            u_hat = _dense_along(u_hat, CT, C, part, right)
-        return u_hat
+        u_hat = scipy.fft.idctn(u_hat, type=2, norm="ortho", axes=self._fft_axes)
+        return u_hat if self._tail is None else self._trailing(u_hat, inverse=True)
+
+    def _trailing(self, u: np.ndarray, inverse: bool) -> np.ndarray:
+        """The trailing axis's product in the grid's own layout: rows times
+        C^T, or times C if `inverse`, batched over the leading axes."""
+        C, CT = _dct_pair(self._tail[-1])
+        v = u.reshape(u.shape[:-3] + self._tail)
+        return (v @ (C if inverse else CT)).reshape(u.shape)
 
     def symbol(self, a: float, b: float) -> np.ndarray:
         """1 - a*lam + b*lam^2 on every mode; raises ValueError unless it is

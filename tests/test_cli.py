@@ -216,6 +216,14 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_file_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["micromag", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_unknown_format_is_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SOLVE_UNIFORM)
         assert main(["solve", "--config", cfg_path, "--formats", "hdf5"]) == 2

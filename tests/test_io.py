@@ -255,6 +255,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="config root must be a JSON object"):
             ExperimentConfig.from_file(str(path))
 
+    def test_file_read_as_utf8(self, tmp_path):
+        # a UTF-8 field name reads back whatever the locale's encoding; bytes
+        # that are not UTF-8 are a config error, not a UnicodeDecodeError
+        path = tmp_path / "cfg.json"
+        path.write_bytes('{"kind": "solve", "schéme": "si2"}'.encode("utf-8"))
+        with pytest.raises(ConfigError, match=r"unknown config fields: \['schéme'\]"):
+            ExperimentConfig.from_file(str(path))
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_file(str(path))
+
     def test_removed_fields_are_unknown(self):
         for name, value in (("error_cap", 0.5), ("full_scale_grid", [8, 8, 2])):
             with pytest.raises(ConfigError, match="unknown config fields"):

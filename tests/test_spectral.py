@@ -26,10 +26,12 @@ from gspm2.spectral import (DENSE_AXIS_MAX, build_plan, dct_matrix,
                             solve_dense_oracle)
 from test_cli_golden import changes
 
-# an axis at the dense-transform limit and one just beyond it, alone and mixed
+# an axis at the dense-transform limit and one just beyond it, alone and
+# mixed: on (4, 4, P) every axis goes to pocketfft, on (P, P, 3) the short
+# last axis takes the trailing product
 D, P = DENSE_AXIS_MAX, DENSE_AXIS_MAX + 1
 DENSE_LIMIT_SHAPES = [(D, 1, 1), (P, 1, 1), (1, D, 1), (1, 1, P), (P, 5, 1),
-                      (3, 1, P + 1), (D, 3, 2), (2, P, 3)]
+                      (3, 1, P + 1), (D, 3, 2), (2, P, 3), (4, 4, P), (P, P, 3)]
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_spectral.json")
 # a line, the 10,000-cell line, the reduced film, a grid with one long axis
@@ -172,6 +174,18 @@ class TestSolve:
         assert plan.solve_count == before + 3
         for i in range(3):
             assert np.array_equal(u[i], solve(plan, f[i], 0.1, 0.01))
+
+    # the one-cell grid's transforms return views of their input
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (40, 1, 1), (6, 5, 2), (P, 1, 1),
+                                       (P, 5, 1)])
+    def test_result_is_fresh_and_input_unchanged(self, shape):
+        plan = build_plan(Grid(*shape, 1.0, 0.8, 0.6))
+        for f in np.random.default_rng(9).standard_normal((2, 3) + shape):
+            for field in (f, f[0]):
+                kept = field.copy()
+                u = solve(plan, field, 0.1, 0.01)
+                assert not np.shares_memory(u, field)
+                assert np.array_equal(field, kept)
 
     def test_rejects_field_not_ending_in_grid_shape(self):
         plan = build_plan(Grid.line(4))
