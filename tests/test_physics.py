@@ -152,28 +152,30 @@ class TestDemagTensor:
                 assert np.array_equal(entry, reflected), (comp, name)
 
     def test_potentials_have_exact_parity(self):
-        # the premise of building the kernel on the non-negative offsets: g is
-        # odd in its first two arguments and even in the third, f even in all
-        # three, on the film's shifted offsets (non-dyadic hz) and at zero.
-        # Float equality is bit equality but for the sign of a zero: an
-        # exactly zero g is +0 at either sign of its argument
+        # the premise of building the kernel on the non-negative offsets: each
+        # diagonal potential is even along every axis, each off-diagonal one
+        # odd along the two axes it names and even along the third, on the
+        # film's shifted offsets (non-dyadic hz) and at zero. Float equality
+        # is bit equality but for the sign of a zero: an exactly zero g is +0
+        # or -0 at either sign of its argument
         shape, h = (64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3)
         X, Y, Z = np.meshgrid(*(np.unique(np.abs(np.arange(n + 1) * hn
                                                  + np.array([-1, 0, 1])[:, None] * hn))
                                 for n, hn in zip(shape, h)),
                               indexing="ij", sparse=True)
-        for func, signs in ((physics._newell_g, (-1.0, -1.0, 1.0)),
-                            (physics._newell_f, (1.0, 1.0, 1.0))):
-            value = func(X, Y, Z)
+        potential = physics._newell(X, Y, Z)
+        reflected = [physics._newell(*(-c if i == axis else c
+                                       for i, c in enumerate((X, Y, Z))))
+                     for axis in range(3)]
+        for comp in ("xx", "yy", "zz", "xy", "xz", "yz"):
+            value = potential(comp)
             nonzero = value != 0
             assert not nonzero.all()
-            for axis, sign in enumerate(signs):
-                args = [X, Y, Z]
-                args[axis] = -args[axis]
-                reflected = func(*args)
-                assert np.array_equal(reflected, sign * value), (func.__name__, axis)
-                assert (reflected[nonzero].tobytes()
-                        == (sign * value)[nonzero].tobytes()), (func.__name__, axis)
+            for axis, name in enumerate("xyz"):
+                sign = -1.0 if comp[0] != comp[1] and name in comp else 1.0
+                got = reflected[axis](comp)
+                assert np.array_equal(got, sign * value), (comp, name)
+                assert got[nonzero].tobytes() == (sign * value)[nonzero].tobytes(), (comp, name)
 
     @pytest.mark.parametrize("shape,spacing", [
         ((64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3)), ((5, 3, 1), (1.0, 0.8, 0.3)),
@@ -181,30 +183,83 @@ class TestDemagTensor:
         ((7, 5, 3), (0.3, 0.7, 0.11)), ((20, 1, 1), (0.1, 1.0, 1.0)),
     ], ids=["64x64x3-film", "5x3x1", "2x3x17", "1x1x1", "7x5x3", "20x1x1"])
     def test_potentials_see_the_half_lattice(self, shape, spacing, monkeypatch):
-        # each potential is evaluated in one call on the distinct absolute
-        # offsets d h + k h, d = 0..n, k in {-1, 0, 1}: at most 3 (n + 1) per
-        # axis, since offsets an ulp apart stay distinct
-        seen, calls = {}, {}
+        # one evaluation of the seven shared terms per build, on the distinct
+        # absolute offsets d h + k h, d = 0..n, k in {-1, 0, 1}: at most
+        # 3 (n + 1) per axis, since offsets an ulp apart stay distinct. It
+        # takes three arcsinh and three arctan calls, where one call per
+        # potential took 15 and 12
+        seen, calls = [], {"arcsinh": 0, "arctan": 0}
+        newell = physics._newell
 
-        def counting(comp, func):
-            def potential(x, y, z):
-                seen[comp] = seen.get(comp, 0) + np.broadcast(x, y, z).size
-                calls[comp] = calls.get(comp, 0) + 1
-                return func(x, y, z)
-            return potential
+        def evaluation(x, y, z):
+            seen.append(np.broadcast(x, y, z).size)
+            return newell(x, y, z)
 
-        recipe = {c: (counting(c, f), order)
-                  for c, (f, order) in physics._COMPONENT_RECIPE.items()}
-        monkeypatch.setattr(physics, "_COMPONENT_RECIPE", recipe)
+        def counting(name, func):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(physics, "_newell", evaluation)
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
         g = Grid(*shape, *(n * h for n, h in zip(shape, spacing)))
         build_demag_kernel(g)
-        assert sorted(seen) == sorted(recipe)
-        assert set(calls.values()) == {1}, calls
-        bound = math.prod(3 * (n + 1) for n in shape)
-        assert all(count <= bound for count in seen.values()), (seen, bound)
+        assert calls == {"arcsinh": 3, "arctan": 3}
+        assert len(seen) == 1
+        assert seen[0] <= math.prod(3 * (n + 1) for n in shape), seen
         if shape == (64, 64, 3):
             # the whole padded lattice took 130 * 130 * 9 = 152,100
-            assert set(seen.values()) == {66 * 66 * 6}
+            assert seen == [66 * 66 * 6]
+
+    # 60-digit Newell sums for N_xx along x on the 64x64x3 film spacing; the
+    # entry's relative errors when this test was written were 5.7e-8, 4.1e-6
+    # and 8.5e-5, set by the cancelling potentials in double precision
+    @pytest.mark.parametrize("cells,error", [(16, 5.7e-8), (40, 4.1e-6), (63, 8.5e-5)],
+                             ids=["16", "40", "63"])
+    def test_far_field_against_mpmath(self, cells, error):
+        mp = pytest.importorskip("mpmath")
+        h = Grid(64, 64, 3, 1.0, 1.0, 0.02).spacing
+        X = cells * h[0]
+        with mp.workdps(60):
+            hx, hy, hz = (mp.mpf(v) for v in h)
+
+            def f(x, y, z):
+                # Newell's f for x > 0
+                r = mp.sqrt(x * x + y * y + z * z)
+                return (y / 2 * (z * z - x * x) * mp.asinh(y / mp.sqrt(x * x + z * z))
+                        + z / 2 * (y * y - x * x) * mp.asinh(z / mp.sqrt(x * x + y * y))
+                        - x * y * z * mp.atan(y * z / (x * r))
+                        + (2 * x * x - y * y - z * z) * r / 6)
+
+            weight = {-1: -1, 0: 2, 1: -1}
+            total = mp.fsum(weight[i] * weight[j] * weight[k]
+                            * f(mp.mpf(X) + i * hx, j * hy, k * hz)
+                            for i, j, k in itertools.product((-1, 0, 1), repeat=3))
+            exact = total / (4 * mp.pi * hx * hy * hz)
+            rel = float(abs((demag_tensor_entry("xx", X, 0.0, 0.0, h) - exact) / exact))
+        assert rel <= 1.5 * error, rel
+
+    @pytest.mark.parametrize("component", ["xq", "zx", "", "XX"])
+    def test_entry_rejects_an_unknown_component(self, component):
+        with pytest.raises(ValueError, match="xx, yy, zz, xy, xz, yz"):
+            demag_tensor_entry(component, 1.0, 0.0, 0.0, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("spacing", [
+        (1.0, 1.0), (1, -1, 1), (1, 0, 1), (1.0, np.inf, 1.0), (1.0, np.nan, 1.0),
+        (True, 1.0, 1.0), "abc", 1.0, (1.0, 1.0, 1.0, 1.0), None,
+    ], ids=["two", "negative", "zero", "inf", "nan", "bool", "string", "scalar",
+            "four", "none"])
+    def test_entry_rejects_a_bad_spacing(self, spacing):
+        # a negative spacing gave a finite wrong entry, a zero one NaN
+        with pytest.raises(ValueError, match="spacing must be three positive"):
+            demag_tensor_entry("xx", 1.0, 0.0, 0.0, spacing)
+
+    @pytest.mark.parametrize("grid", [None, (4, 4, 2)], ids=["none", "tuple"])
+    def test_build_rejects_a_non_grid(self, grid):
+        with pytest.raises(TypeError, match="Grid"):
+            build_demag_kernel(grid)
 
     # a non-dyadic hz whose shifted offsets differ from the lattice nodes in
     # the last bit, and the parity transforms on odd, tall and single-layer axes
@@ -225,7 +280,10 @@ class TestDemagTensor:
             if i < 3:
                 assert k.self_diag[i].tobytes() == half[0, 0, 0].tobytes(), comp
 
-    @pytest.mark.parametrize("shape,spacing", KERNEL_GRIDS, ids=KERNEL_IDS)
+    # the film catches dense products on x or y, which read 1.47e-15 there
+    @pytest.mark.parametrize("shape,spacing",
+                             KERNEL_GRIDS + [((64, 64, 3), (1 / 64, 1 / 64, 0.02 / 3))],
+                             ids=KERNEL_IDS + ["64x64x3-film"])
     def test_kernel_is_the_entry_blocks_transform(self, shape, spacing):
         # independent of the parity transforms: the complex FFT of the entry
         # block on the whole padded lattice, real part kept
@@ -613,6 +671,14 @@ class TestLocalField:
         assert (energy(params, g, state.m_curr, k, field=state.f_curr)
                 == energy(params, g, state.m_curr, k))
         assert np.array_equal(state.f_curr, carried)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (2, 4, 4, 2), (3, 4, 4)],
+                             ids=["no-component-axis", "two-components", "three-axes"])
+    def test_rejects_m_without_three_components(self, shape):
+        # without the check a (4, 4, 2) m took its x rows as components
+        params = MaterialParams(eps=1.0, alpha=0.1, q=1.0)
+        with pytest.raises(ValueError, match="m must have shape"):
+            local_field(params, np.ones(shape))
 
     def test_missing_kernel_raises(self):
         g = Grid(2, 2, 1, 1.0, 1.0, 1.0)
