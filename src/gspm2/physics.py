@@ -14,16 +14,19 @@ of a film, takes the real transform, which halves the spectra; y and z take
 complex ones. Every tensor entry is even or odd along each axis exactly, so
 every spectrum is real, a product of one real cosine or sine transform per
 axis: the kernel keeps real spectra, half the bytes again, and the tensor
-products run in real arithmetic on separate real and imaginary planes. The z
+products run in real arithmetic on separate real and imaginary planes. An x
+axis of at most spectral.DENSE_AXIS_MAX cells is transformed each way by one
+real product with a dense DFT matrix pair, which beats pocketfft's strided,
+zero-padded lines there; a longer one by scipy.fft's rfft and irfft. The z
 axis, the thickness of a film, is transformed by real products with a DFT
 matrix pair, one per x-mode, which on a few cells beats pocketfft's per-line
 overhead. After the x transform, `demag_field` works through the x-modes in
-slabs of about _SLAB_BYTES per buffer. The kernel is built with its z matrix
-pair, slabs and buffers, so a call allocates only the x spectrum, the
-inverse x transform and the field: the heap is not trimmed and refaulted on
-every call, and a slab's working set stays near the core's cache.
-`local_field` is its one caller; `energy` reads f from it or from an
-integrator's state.
+slabs of about _SLAB_BYTES per buffer. The kernel is built with its matrix
+pairs, slabs and buffers, so a call on a dense x axis allocates only the
+field (a longer x axis adds its x spectrum and inverse x transform): the
+heap is not trimmed and refaulted on every call, and a slab's working set
+stays near the core's cache. `local_field` is its one caller; `energy`
+reads f from it or from an integrator's state.
 
 Each tensor entry is Newell's alternating sum of a potential over the corners
 of two cells. Per axis the corners enter through their shift k = s - t with
@@ -53,6 +56,7 @@ import numpy as np
 import scipy.fft
 
 from .mesh import Grid, is_number
+from .spectral import DENSE_AXIS_MAX
 
 MU0 = 4.0e-7 * math.pi
 
@@ -251,6 +255,29 @@ def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
+def _real_dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real DFT of a length-n axis zero-padded to p, as the real
+    (2(p//2 + 1), n) matrix whose rows are, mode by mode, the cosine and the
+    minus sine row, and its inverse with the field's sign: the irfft of
+    those modes truncated to its first n outputs, negated, as the real
+    (n, 2(p//2 + 1)) matrix. The inverse weights the modes 1, 2, ..., 2, 1
+    over p. The sines of the modes that are real, 0 and p/2, are exact
+    zeros, so their imaginary parts are dropped as irfft drops them."""
+    # the integer phase reduced mod p keeps the angle below 2 pi
+    phase = (np.arange(p // 2 + 1)[:, None] * np.arange(n)[None, :]) % p
+    angle = 2.0 * np.pi * phase / p
+    cos = np.cos(angle)
+    sin = np.where(2 * phase % p == 0, 0.0, np.sin(angle))
+    forward = np.empty((2 * len(phase), n))
+    forward[0::2], forward[1::2] = cos, -sin
+    # p is even or 1, and on a single cell the one mode is both
+    weight = np.full((len(phase), 1), 2.0 / p)
+    weight[0] = weight[p // 2] = 1.0 / p
+    inverse = np.empty((n, 2 * len(phase)))
+    inverse[:, 0::2], inverse[:, 1::2] = (-weight * cos).T, (weight * sin).T
+    return forward, inverse
+
+
 def _second_difference(minus, zero, plus):
     """(zero - minus) + (zero - plus), the potential's second difference along
     one axis over the shifts k = -1, 0, 1. Swapping minus and plus gives the
@@ -309,13 +336,16 @@ class DemagKernel:
     diagonal (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
 
     Built with it, once, is all else `demag_field` reads: `_dft_z`, its z
-    DFT pair in real form, and `_slabs`, the even split of the x-modes into
-    slabs of at most _SLAB_BYTES per buffer (one mode at least), each its
-    (lo, hi) and its views of four buffers all slabs and calls share: the
-    complex y lines (3, w, py, nz), then as real and imaginary planes the z
-    spectra (3, 2, w, py, pz) and the output component (2, w, py, pz), and a
-    scratch buffer viewed both as a product term (2, w, py, pz) and as the
-    two halves (2, w, py, 2nz) of an inverse z product. Not thread safe.
+    DFT pair in real form; `_dft_x`, None where nx > spectral.DENSE_AXIS_MAX
+    and otherwise the real x DFT pair of `_real_dft_pair` with the buffer
+    (3, px//2 + 1, 2, ny, nz) of the x spectrum's real and imaginary planes;
+    and `_slabs`, the even split of the x-modes into slabs of at most
+    _SLAB_BYTES per buffer (one mode at least), each its (lo, hi) and its
+    views of four buffers all slabs and calls share: the complex y lines
+    (3, w, py, nz), then as real and imaginary planes the z spectra
+    (3, 2, w, py, pz) and the output component (2, w, py, pz), and a scratch
+    buffer viewed both as a product term (2, w, py, pz) and as the two
+    halves (2, w, py, 2nz) of an inverse z product. Not thread safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -324,10 +354,12 @@ class DemagKernel:
         self.fft = fft_components
         self.padded_shape = padded_shape
         self.self_diag = self_diag
-        nz = grid.nz
+        nx, ny, nz = grid.shape
         px, py, pz = padded_shape
         self._dft_z = _dft_pair(nz, pz)
         kx = px // 2 + 1
+        self._dft_x = ((*_real_dft_pair(nx, px), np.empty((3, kx, 2, ny, nz)))
+                       if nx <= DENSE_AXIS_MAX else None)
         width = min(kx, max(1, _SLAB_BYTES // (16 * py * pz)))
         lines = np.empty(3 * width * py * nz, dtype=complex)
         spectra = np.empty(6 * width * py * pz)
@@ -488,25 +520,33 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
 
     The padding is never materialized: m takes its real transform along x,
     zero-extended to the padded length, and the x-modes are then processed
-    in the kernel's slabs, in its buffers. Each slab is zero-padded along y
-    and transformed there in place, then along z by real products of its
-    interleaved numbers with the kernel's padded DFT pair, into separate
-    real and imaginary planes; on a single layer the pair is 1x1 and the
-    same products apply. The kernel is real, so each output component is
-    formed from the nine tensor products plane by plane in real arithmetic,
-    then transformed back along z by the truncated inverse pair, whose two
-    halves sum to the first nz entries, written back into the slab's lines
-    interleaved. One inverse y transform of the three then puts the first ny
+    in the kernel's slabs, in its buffers. On an x axis of at most
+    spectral.DENSE_AXIS_MAX cells the transform is one product of the
+    kernel's forward x matrix with m viewed as (3, nx, ny nz), written into
+    the kernel's x spectrum as separate real and imaginary planes; a longer
+    one takes scipy.fft's rfft. Each slab copies its modes into its y lines,
+    zero-padded along y, transforms them there in place, then along z by
+    real products of its interleaved numbers with the kernel's padded DFT
+    pair, into separate real and imaginary planes; on a single layer the
+    pair is 1x1 and the same products apply. The kernel is real, so each
+    output component is formed from the nine tensor products plane by plane
+    in real arithmetic, then transformed back along z by the truncated
+    inverse pair, whose two halves sum to the first nz entries, written back
+    into the slab's lines interleaved. One inverse y transform of the three then puts the first ny
     entries into the slab's own rows of the x spectrum, which were read
-    before they are overwritten. One inverse real transform along x gives
-    the field, a fresh array. The call itself only computes: the kernel made
-    the matrices, the slabs and the buffers.
+    before they are overwritten. The inverse x transform gives the field, a
+    fresh array: on a dense x axis one product of the kernel's inverse x
+    matrix, which carries the field's minus sign, written straight into it,
+    on a longer one irfft, negated. The call itself only computes: the
+    kernel made the matrices, the slabs and the buffers, and on a dense x
+    axis it allocates only the field.
 
     The width of the slabs changes no result: every transform and product
-    acts on whole lines or elements, and each z product is a stack of one
-    (py, .) matrix product per x-mode, whose shape no slab width changes.
-    (OpenBLAS rounds the rows of a real product differently with its row
-    count, so one product over a whole slab would not do.)
+    acts on whole lines or elements, the x products on the whole grid, and
+    each z product is a stack of one (py, .) matrix product per x-mode,
+    whose shape no slab width changes. (OpenBLAS rounds the rows of a real
+    product differently with its row count, so one product over a whole slab
+    would not do.)
 
     Raises ValueError if kernel is None (a stray field without its kernel)
     or unless m has shape (3,) + the kernel's grid shape.
@@ -524,9 +564,19 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     # of the call's temporaries: allocated after them, it raised a 40-round
     # thin-film run's peak RSS by 3-4 MB
     h = np.empty((3, nx, ny, nz))
-    mf = scipy.fft.rfft(m, n=px, axis=1)
+    # the x spectrum as the arrays a slab's lines are copied from and back
+    # to, and `parts` the matching views of the lines: the complex rfft
+    # whole, or the dense product's real and imaginary planes
+    if kernel._dft_x is None:
+        mf = scipy.fft.rfft(m, n=px, axis=1)
+        spectrum, parts = (mf,), lambda lines: (lines,)
+    else:
+        forward_x, inverse_x, planes = kernel._dft_x
+        np.matmul(forward_x, np.reshape(m, (3, nx, -1)), out=planes.reshape(3, -1, ny * nz))
+        spectrum, parts = planes.transpose(2, 0, 1, 3, 4), lambda lines: (lines.real, lines.imag)
     for lo, hi, y, s, out, tmp, halves in kernel._slabs:
-        y[:, :, :ny] = mf[:, lo:hi]
+        for line, mode in zip(parts(y), spectrum):
+            line[:, :, :ny] = mode[:, lo:hi]
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
         # s[j] holds the real, then the imaginary plane of component j
@@ -539,8 +589,12 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
             np.matmul(out, inverse, out=halves)
             np.add(halves[0], halves[1], out=yi.view(float))
         y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
-        mf[:, lo:hi] = y[:, :, :ny]
-    return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)
+        for mode, line in zip(spectrum, parts(y)):
+            mode[:, lo:hi] = line[:, :, :ny]
+    if kernel._dft_x is None:
+        return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)
+    np.matmul(inverse_x, planes.reshape(3, -1, ny * nz), out=h.reshape(3, nx, -1))
+    return h
 
 
 def local_field(params: MaterialParams, m: np.ndarray,
@@ -578,9 +632,11 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     only read, so a state's carried f can be passed. Raises ValueError
     unless m, and `field` when given, have shape (3,) + grid.shape.
 
-    Each exchange term is one `np.diff` and one `np.einsum` sum of squares
-    per axis; the field term is one `np.einsum` of f.m, plus h_ext_c times
-    the sum of m_c for each nonzero component, with no f + h_ext array.
+    Each exchange term is one difference and one `np.einsum` sum of squares
+    per axis: `np.diff` along x and y, and along z one subtraction of each
+    plane from the next, laid out plane pair by plane pair. The field term
+    is one `np.einsum` of f.m, plus h_ext_c times the sum of m_c for each
+    nonzero component, with no f + h_ext array.
     einsum and sum reduce in numpy's own loops, not through the BLAS, so
     the energy, and energy.csv, are the same at any BLAS thread count.
     """
@@ -596,9 +652,16 @@ def energy(params: MaterialParams, grid: Grid, m: np.ndarray,
     vol = grid.cell_volume
     total = 0.0
     for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        if n > 1:
+        if n == 1:
+            continue
+        if axis < 2:
             d = np.diff(m, axis=axis + 1)
-            total += 0.5 * params.eps * np.einsum("cxyz,cxyz->", d, d) / (h * h) * vol
+        else:
+            # the z differences are laid out plane pair by plane pair: along
+            # a film's few z cells np.diff's inner loops are nz - 1 long
+            planes = np.moveaxis(m, 3, 0)
+            d = np.subtract(planes[1:], planes[:-1], order="C")
+        total += 0.5 * params.eps * np.einsum("cxyz,cxyz->", d, d) / (h * h) * vol
     if params.has_local_field:
         f = local_field(params, m, kernel) if field is None else field
         fm = np.einsum("cxyz,cxyz->", f, m)

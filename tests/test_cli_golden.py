@@ -4,8 +4,9 @@ One small config per run kind and scheme goes through `cli.run` and
 `cli.emit`; the sha256 of every deterministic file it writes (config.json,
 report.json, energy.csv, errors.csv and the VTK files) must equal the stored
 one. timing.csv holds wall times and is never pinned. One more test reruns a
-film config, and one 64x64x3 solve, in a process held to one BLAS thread and
-requires the same bytes: the outputs must not depend on the thread count.
+film config, one 64x64x3 solve and one 64x64x3 stray field in a process held
+to one BLAS thread and requires the same bytes: the outputs must not depend on
+the thread count.
 
 The fixture `data/golden_cli.json` is tied to the numpy/scipy builds, the
 BLAS build and the CPU it was made on. To regenerate it, check out the commit whose outputs are
@@ -115,19 +116,31 @@ def _film_solve_digest():
     return hashlib.sha256(solve(plan, f, 0.1, 0.01).tobytes()).hexdigest()
 
 
+def _film_field_digest():
+    """sha256 of one stray-field call on the 64x64x3 film grid, whose dense
+    x transforms are the convolution's largest BLAS products."""
+    from gspm2.mesh import Grid
+    from gspm2.physics import build_demag_kernel, demag_field
+    kernel = build_demag_kernel(Grid(64, 64, 3, 1.0, 1.0, 0.02))
+    m = np.random.default_rng(5).standard_normal((3, 64, 64, 3))
+    return hashlib.sha256(demag_field(kernel, m).tobytes()).hexdigest()
+
+
 def test_outputs_independent_of_blas_thread_count():
     """A process held to one BLAS thread writes the same bytes as this one,
     which has the BLAS's default pool: the CSV/JSON/VTK outputs of a film
-    run and one film solve agree bit for bit."""
+    run, one film solve and one film stray field agree bit for bit."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     code = ("import json, test_cli_golden as t; print(json.dumps("
-            "[t._digests('micromag-scheme-a'), t._film_solve_digest()]))")
+            "[t._digests('micromag-scheme-a'), t._film_solve_digest(), "
+            "t._film_field_digest()]))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, here]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == [_digests("micromag-scheme-a"), _film_solve_digest()]
+    assert json.loads(out) == [_digests("micromag-scheme-a"), _film_solve_digest(),
+                               _film_field_digest()]
 
 
 def test_changes_names_each_differing_digest():

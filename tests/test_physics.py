@@ -12,6 +12,7 @@ from gspm2.physics import (MU0, DemagKernel, MaterialParams,
                            PhysicalConstants, build_demag_kernel, demag_field,
                            demag_tensor_entry, energy, local_field,
                            nondimensionalize)
+from gspm2.spectral import DENSE_AXIS_MAX
 
 FILM_CONSTANTS = PhysicalConstants(A=1.3e-11, Ms=8.0e5, Ku=1.0e2,
                                    gamma=1.76e11, L=1.0e-6)
@@ -319,13 +320,15 @@ class TestDemagTensor:
             assert imag <= 1e-15 * real, (comp, imag / real)
 
     def test_build_peak_memory_bound(self):
-        # 64x64x4 padded lattice; the six real spectra hold 0.39 MiB and the
-        # kernel's slab buffers 0.84 MiB. The build peaks at 1.26 MiB, 0.03
-        # MiB above what the finished kernel holds: the half block (33x33x3)
-        # and its transforms are small. It peaked at 1.44 MiB when it
-        # mirrored the half block and took its complex transform, 1.36 MiB
-        # when it took the differences over the whole padded lattice, and
-        # 1.8 MiB when it evaluated the potential on that lattice directly.
+        # 64x64x4 padded lattice; the six real spectra hold 0.39 MiB, the
+        # kernel's slab buffers 0.84 MiB and its dense x pair with the x
+        # spectrum's buffer 0.13 MiB. The build peaks at 1.39 MiB, 0.03 MiB
+        # above what the finished kernel holds: the half block (33x33x3) and
+        # its transforms are small. Without the x pair it peaked at 1.26
+        # MiB. It peaked at 1.44 MiB when it mirrored the half block and took
+        # its complex transform, 1.36 MiB when it took the differences over
+        # the whole padded lattice, and 1.8 MiB when it evaluated the
+        # potential on that lattice directly.
         g = Grid(32, 32, 2, 32.0, 32.0, 0.04)
         build_demag_kernel(g)
         tracemalloc.start()
@@ -413,13 +416,16 @@ class TestDemagField:
 
     def test_matches_direct_summation(self):
         # odd and length-1 axes exercise the pruned transforms' padding; the
-        # last three z axes are taller than a film, for the DFT-matrix z
-        # transform at lengths no workload reaches
+        # next three z axes are taller than a film, for the DFT-matrix z
+        # transform at lengths no workload reaches; the last two x axes sit
+        # on either side of the dense x pair's length limit
         rng = np.random.default_rng(21)
         for shape in ((4, 4, 2), (5, 3, 1), (1, 4, 2), (3, 1, 4), (1, 1, 1),
-                      (5, 3, 3), (2, 3, 17), (2, 2, 40), (1, 3, 33)):
+                      (5, 3, 3), (2, 3, 17), (2, 2, 40), (1, 3, 33),
+                      (DENSE_AXIS_MAX, 2, 1), (DENSE_AXIS_MAX + 1, 2, 1)):
             g = Grid(*shape, 1.0, 1.0, 0.5)
             k = build_demag_kernel(g)
+            assert (k._dft_x is None) == (shape[0] > DENSE_AXIS_MAX), shape
             m = rng.standard_normal((3,) + g.shape)
             hs = demag_field(k, m)
             assert np.abs(hs - _direct_stray(g, m)).max() < 1e-10, shape
@@ -450,10 +456,11 @@ class TestDemagField:
             demag_field(k, np.ones(shape))
 
     def test_field_peak_memory_bound(self):
-        # 64x64x3: a call holds the field (0.28 MiB), the x spectrum (0.57
-        # MiB) and the inverse x transform (0.56 MiB), and peaks at 1.42 MiB.
-        # The kernel is built with its slab buffers (1.6 MiB), so the first
-        # call allocates no more than the next.
+        # 64x64x3: a call allocates only the field (0.28 MiB) and peaks at
+        # 0.29 MiB. It peaked at 1.42 MiB when it held the x spectrum (0.57
+        # MiB) and the inverse x transform (0.56 MiB) too. The kernel is built
+        # with its slab buffers (1.6 MiB) and the x spectrum's (0.29 MiB), so
+        # the first call allocates no more than the next.
         g = Grid(64, 64, 3, 1.0, 1.0, 0.02)
         k = build_demag_kernel(g)
         m = np.random.default_rng(27).standard_normal((3,) + g.shape)
@@ -465,10 +472,12 @@ class TestDemagField:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 1.75 * 2 ** 20, peaks
+        assert max(peaks) <= 0.3 * 2 ** 20, peaks
 
-    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1), (16, 16, 1)],
-                             ids=["film", "tall-z", "one-cell", "single-layer"])
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1), (16, 16, 1),
+                                       (DENSE_AXIS_MAX, 2, 1), (DENSE_AXIS_MAX + 1, 2, 1)],
+                             ids=["film", "tall-z", "one-cell", "single-layer",
+                                  "dense-x", "long-x"])
     def test_field_does_not_depend_on_slab_width(self, shape, monkeypatch):
         g = Grid(*shape, 1.0, 1.0, 0.5)
         k = build_demag_kernel(g)
