@@ -2,20 +2,19 @@
 
 Builds the demag kernel of each grid and times whole `demag_field` calls on
 a random m with one BLAS thread: the thin films (64x64x3, the thin-film
-workload's grid; the single-layer 128x128x1 and 128x32x1; 100x100x1 and
-100x100x3, whose x axes sit at the dense x pair's length limit) and the
-tall columns of README's stray-field table, where the dense z products cost
-most. Prints per grid the x path the kernel took (`dense`, one product with
-its real DFT pair each way, or `rfft`, scipy.fft's real transform on x axes
-longer than spectral.DENSE_AXIS_MAX), the seconds of the one kernel build,
-the median milliseconds per call over about a second of calls (five at
-least, after one untimed call), the megabytes the kernel's six spectra hold,
-the build's peak (the most memory a second, untimed build allocates through
-numpy, tracemalloc, the spectra included) and the first 12 hex digits of the
+workload's grid; the single-layer 128x128x1 and 128x32x1, whose long x axis
+over few cells is where the dense x products cost most) and the tall
+columns of README's stray-field table, where the dense z products cost
+most. Prints per grid the seconds of the one kernel build, the median
+milliseconds per call over about a second of calls (five at least, after
+one untimed call), the megabytes the kernel's six spectra hold, the build's
+peak (the most memory a second, untimed build allocates through numpy,
+tracemalloc, the spectra included) and the first 12 hex digits of the
 sha256 of the field, so two versions' fields can be compared bit for bit.
 Pass --production to add the 250x250x5 production grid, whose kernel build
-(`build s`) is timed nowhere else: no benchmark workload runs that grid. Run
-it on two versions of the library to compare them.
+(`build s`) is timed nowhere else, and the 500x125x1 film, the longest x
+axis here: no benchmark workload runs either grid. Run it on two versions
+of the library to compare them.
 """
 
 import hashlib
@@ -31,13 +30,12 @@ import numpy as np  # noqa: E402
 
 from gspm2 import Grid, build_demag_kernel, demag_field  # noqa: E402
 
-shapes = [(64, 64, 3), (128, 128, 1), (128, 32, 1), (100, 100, 1), (100, 100, 3),
-          (2, 3, 17), (16, 16, 24), (16, 16, 32), (32, 32, 32), (64, 64, 64), (8, 8, 64),
-          (4, 4, 128)]
+shapes = [(64, 64, 3), (128, 128, 1), (128, 32, 1), (2, 3, 17), (16, 16, 24), (16, 16, 32),
+          (32, 32, 32), (64, 64, 64), (8, 8, 64), (4, 4, 128)]
 if "--production" in sys.argv:
-    shapes.append((250, 250, 5))
+    shapes += [(250, 250, 5), (500, 125, 1)]
 
-print(f"{'grid':>12} {'x path':>6} {'build s':>8} {'ms/call':>9} {'kernel MB':>10} "
+print(f"{'grid':>12} {'build s':>8} {'ms/call':>9} {'kernel MB':>10} "
       f"{'peak MiB':>9} {'calls':>6} {'field sha256':>12}")
 for shape in shapes:
     start = time.perf_counter()
@@ -57,6 +55,5 @@ for shape in shapes:
     peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
     name = "x".join(str(n) for n in shape)
-    path = "rfft" if kernel._dft_x is None else "dense"
-    print(f"{name:>12} {path:>6} {build:8.3f} {1e3 * np.median(times):9.3f} {mb:10.2f} "
+    print(f"{name:>12} {build:8.3f} {1e3 * np.median(times):9.3f} {mb:10.2f} "
           f"{peak:9.2f} {len(times):6d} {digest:>12}")

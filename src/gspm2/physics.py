@@ -14,19 +14,19 @@ of a film, takes the real transform, which halves the spectra; y and z take
 complex ones. Every tensor entry is even or odd along each axis exactly, so
 every spectrum is real, a product of one real cosine or sine transform per
 axis: the kernel keeps real spectra, half the bytes again, and the tensor
-products run in real arithmetic on separate real and imaginary planes. An x
-axis of at most spectral.DENSE_AXIS_MAX cells is transformed each way by one
-real product with a dense DFT matrix pair, which beats pocketfft's strided,
-zero-padded lines there; a longer one by scipy.fft's rfft and irfft. The z
-axis, the thickness of a film, is transformed by real products with a DFT
-matrix pair, one per x-mode, which on a few cells beats pocketfft's per-line
-overhead. After the x transform, `demag_field` works through the x-modes in
-slabs of about _SLAB_BYTES per buffer. The kernel is built with its matrix
-pairs, slabs and buffers, so a call on a dense x axis allocates only the
-field (a longer x axis adds its x spectrum and inverse x transform): the
-heap is not trimmed and refaulted on every call, and a slab's working set
-stays near the core's cache. `local_field` is its one caller; `energy`
-reads f from it or from an integrator's state.
+products run in real arithmetic on separate real and imaginary planes. The x
+axis is transformed each way by one real product with a dense DFT matrix
+pair, which at 64 cells beats pocketfft's strided, zero-padded lines; its
+O(nx) cost per cell loses to them on a long x axis over few y and z cells
+(README's stray-field table). The z axis, the thickness of a film, is
+transformed by real products with a DFT matrix pair, one per x-mode, which
+on a few cells beats pocketfft's per-line overhead. After the x transform,
+`demag_field` works through the x-modes in slabs of about _SLAB_BYTES per
+buffer. The kernel is built with its matrix pairs, slabs and buffers, so a
+call allocates only the field: the heap is not trimmed and refaulted on
+every call, and a slab's working set stays near the core's cache.
+`local_field` is its one caller; `energy` reads f from it or from an
+integrator's state.
 
 Each tensor entry is Newell's alternating sum of a potential over the corners
 of two cells. Per axis the corners enter through their shift k = s - t with
@@ -56,7 +56,6 @@ import numpy as np
 import scipy.fft
 
 from .mesh import Grid, is_number
-from .spectral import DENSE_AXIS_MAX
 
 MU0 = 4.0e-7 * math.pi
 
@@ -336,9 +335,9 @@ class DemagKernel:
     diagonal (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
 
     Built with it, once, is all else `demag_field` reads: `_dft_z`, its z
-    DFT pair in real form; `_dft_x`, None where nx > spectral.DENSE_AXIS_MAX
-    and otherwise the real x DFT pair of `_real_dft_pair` with the buffer
-    (3, px//2 + 1, 2, ny, nz) of the x spectrum's real and imaginary planes;
+    DFT pair in real form; `_dft_x`, the real x DFT pair of `_real_dft_pair`
+    with the buffer (3, px//2 + 1, 2, ny, nz) of the x spectrum's real and
+    imaginary planes;
     and `_slabs`, the even split of the x-modes into slabs of at most
     _SLAB_BYTES per buffer (one mode at least), each its (lo, hi) and its
     views of four buffers all slabs and calls share: the complex y lines
@@ -358,8 +357,7 @@ class DemagKernel:
         px, py, pz = padded_shape
         self._dft_z = _dft_pair(nz, pz)
         kx = px // 2 + 1
-        self._dft_x = ((*_real_dft_pair(nx, px), np.empty((3, kx, 2, ny, nz)))
-                       if nx <= DENSE_AXIS_MAX else None)
+        self._dft_x = (*_real_dft_pair(nx, px), np.empty((3, kx, 2, ny, nz)))
         width = min(kx, max(1, _SLAB_BYTES // (16 * py * pz)))
         lines = np.empty(3 * width * py * nz, dtype=complex)
         spectra = np.empty(6 * width * py * pz)
@@ -520,12 +518,11 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
 
     The padding is never materialized: m takes its real transform along x,
     zero-extended to the padded length, and the x-modes are then processed
-    in the kernel's slabs, in its buffers. On an x axis of at most
-    spectral.DENSE_AXIS_MAX cells the transform is one product of the
-    kernel's forward x matrix with m viewed as (3, nx, ny nz), written into
-    the kernel's x spectrum as separate real and imaginary planes; a longer
-    one takes scipy.fft's rfft. Each slab copies its modes into its y lines,
-    zero-padded along y, transforms them there in place, then along z by
+    in the kernel's slabs, in its buffers. The transform is one product of
+    the kernel's forward x matrix with m viewed as (3, nx, ny nz), written
+    into the kernel's x spectrum as separate real and imaginary planes. Each
+    slab copies its modes' two planes into its y lines, zero-padded along
+    y, transforms them there in place, then along z by
     real products of its interleaved numbers with the kernel's padded DFT
     pair, into separate real and imaginary planes; on a single layer the
     pair is 1x1 and the same products apply. The kernel is real, so each
@@ -535,11 +532,10 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     into the slab's lines interleaved. One inverse y transform of the three then puts the first ny
     entries into the slab's own rows of the x spectrum, which were read
     before they are overwritten. The inverse x transform gives the field, a
-    fresh array: on a dense x axis one product of the kernel's inverse x
-    matrix, which carries the field's minus sign, written straight into it,
-    on a longer one irfft, negated. The call itself only computes: the
-    kernel made the matrices, the slabs and the buffers, and on a dense x
-    axis it allocates only the field.
+    fresh array: one product of the kernel's inverse x matrix, which carries
+    the field's minus sign, written straight into it. The call itself only
+    computes: the kernel made the matrices, the slabs and the buffers, and
+    the call allocates only the field.
 
     The width of the slabs changes no result: every transform and product
     acts on whole lines or elements, the x products on the whole grid, and
@@ -554,7 +550,6 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     if kernel is None:
         raise ValueError("stray field enabled but no demag kernel supplied")
     nx, ny, nz = kernel.grid.shape
-    px = kernel.padded_shape[0]
     if np.shape(m) != (3, nx, ny, nz):
         raise ValueError(f"m must have shape {(3, nx, ny, nz)}, got {np.shape(m)}")
     forward, inverse = kernel._dft_z
@@ -564,19 +559,13 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
     # of the call's temporaries: allocated after them, it raised a 40-round
     # thin-film run's peak RSS by 3-4 MB
     h = np.empty((3, nx, ny, nz))
-    # the x spectrum as the arrays a slab's lines are copied from and back
-    # to, and `parts` the matching views of the lines: the complex rfft
-    # whole, or the dense product's real and imaginary planes
-    if kernel._dft_x is None:
-        mf = scipy.fft.rfft(m, n=px, axis=1)
-        spectrum, parts = (mf,), lambda lines: (lines,)
-    else:
-        forward_x, inverse_x, planes = kernel._dft_x
-        np.matmul(forward_x, np.reshape(m, (3, nx, -1)), out=planes.reshape(3, -1, ny * nz))
-        spectrum, parts = planes.transpose(2, 0, 1, 3, 4), lambda lines: (lines.real, lines.imag)
+    forward_x, inverse_x, planes = kernel._dft_x
+    np.matmul(forward_x, np.reshape(m, (3, nx, -1)), out=planes.reshape(3, -1, ny * nz))
+    # (3, kx, 2, ny, nz) as the real, then the imaginary plane of each mode
+    re, im = planes.transpose(2, 0, 1, 3, 4)
     for lo, hi, y, s, out, tmp, halves in kernel._slabs:
-        for line, mode in zip(parts(y), spectrum):
-            line[:, :, :ny] = mode[:, lo:hi]
+        y.real[:, :, :ny] = re[:, lo:hi]
+        y.imag[:, :, :ny] = im[:, lo:hi]
         y[:, :, ny:] = 0.0
         y = scipy.fft.fft(y, axis=2, overwrite_x=True)
         # s[j] holds the real, then the imaginary plane of component j
@@ -589,10 +578,8 @@ def demag_field(kernel: DemagKernel, m: np.ndarray) -> np.ndarray:
             np.matmul(out, inverse, out=halves)
             np.add(halves[0], halves[1], out=yi.view(float))
         y = scipy.fft.ifft(y, axis=2, overwrite_x=True)
-        for mode, line in zip(spectrum, parts(y)):
-            mode[:, lo:hi] = line[:, :, :ny]
-    if kernel._dft_x is None:
-        return np.negative(scipy.fft.irfft(mf, n=px, axis=1)[:, :nx], out=h)
+        re[:, lo:hi] = y.real[:, :, :ny]
+        im[:, lo:hi] = y.imag[:, :, :ny]
     np.matmul(inverse_x, planes.reshape(3, -1, ny * nz), out=h.reshape(3, nx, -1))
     return h
 

@@ -12,7 +12,6 @@ from gspm2.physics import (MU0, DemagKernel, MaterialParams,
                            PhysicalConstants, build_demag_kernel, demag_field,
                            demag_tensor_entry, energy, local_field,
                            nondimensionalize)
-from gspm2.spectral import DENSE_AXIS_MAX
 
 FILM_CONSTANTS = PhysicalConstants(A=1.3e-11, Ms=8.0e5, Ku=1.0e2,
                                    gamma=1.76e11, L=1.0e-6)
@@ -417,15 +416,13 @@ class TestDemagField:
     def test_matches_direct_summation(self):
         # odd and length-1 axes exercise the pruned transforms' padding; the
         # next three z axes are taller than a film, for the DFT-matrix z
-        # transform at lengths no workload reaches; the last two x axes sit
-        # on either side of the dense x pair's length limit
+        # transform at lengths no workload reaches; the last x axis, as long
+        # as a 128x32x1 film's, gives the dense x products their longest sums
         rng = np.random.default_rng(21)
         for shape in ((4, 4, 2), (5, 3, 1), (1, 4, 2), (3, 1, 4), (1, 1, 1),
-                      (5, 3, 3), (2, 3, 17), (2, 2, 40), (1, 3, 33),
-                      (DENSE_AXIS_MAX, 2, 1), (DENSE_AXIS_MAX + 1, 2, 1)):
+                      (5, 3, 3), (2, 3, 17), (2, 2, 40), (1, 3, 33), (128, 2, 1)):
             g = Grid(*shape, 1.0, 1.0, 0.5)
             k = build_demag_kernel(g)
-            assert (k._dft_x is None) == (shape[0] > DENSE_AXIS_MAX), shape
             m = rng.standard_normal((3,) + g.shape)
             hs = demag_field(k, m)
             assert np.abs(hs - _direct_stray(g, m)).max() < 1e-10, shape
@@ -460,7 +457,10 @@ class TestDemagField:
         # 0.29 MiB. It peaked at 1.42 MiB when it held the x spectrum (0.57
         # MiB) and the inverse x transform (0.56 MiB) too. The kernel is built
         # with its slab buffers (1.6 MiB) and the x spectrum's (0.29 MiB), so
-        # the first call allocates no more than the next.
+        # the first call allocates no more than the next. The bound is the
+        # field plus 64 KiB, room for a library's small temporaries (a
+        # product buffering its output, say) but far below any array of the
+        # grid's size.
         g = Grid(64, 64, 3, 1.0, 1.0, 0.02)
         k = build_demag_kernel(g)
         m = np.random.default_rng(27).standard_normal((3,) + g.shape)
@@ -472,12 +472,11 @@ class TestDemagField:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 0.3 * 2 ** 20, peaks
+        assert max(peaks) <= m.nbytes + 64 * 2 ** 10, peaks
 
     @pytest.mark.parametrize("shape", [(64, 64, 3), (2, 3, 17), (1, 1, 1), (16, 16, 1),
-                                       (DENSE_AXIS_MAX, 2, 1), (DENSE_AXIS_MAX + 1, 2, 1)],
-                             ids=["film", "tall-z", "one-cell", "single-layer",
-                                  "dense-x", "long-x"])
+                                       (128, 2, 1)],
+                             ids=["film", "tall-z", "one-cell", "single-layer", "long-x"])
     def test_field_does_not_depend_on_slab_width(self, shape, monkeypatch):
         g = Grid(*shape, 1.0, 1.0, 0.5)
         k = build_demag_kernel(g)
