@@ -4,7 +4,9 @@ The package is organized as a small numpy/scipy library:
 
 - :mod:`gspm2.mesh` — cell-centered grids, mirrored-Neumann Laplacian and
   biharmonic operators, field norms;
-- :mod:`gspm2.spectral` — DCT-diagonalized solves of (I - a*Lap + b*Lap^2);
+- :mod:`gspm2.spectral` — DCT-diagonalized solves of (I - a*Lap + b*Lap^2),
+  and the closed-form dense transform matrices the solves and the stray
+  field share;
 - :mod:`gspm2.physics` — dimensionless material model, Newell demag tensor,
   stray field, free energy;
 - :mod:`gspm2.schemes` — time integrators (first-order Gauss-Seidel, plain
@@ -32,8 +34,7 @@ from .schemes import (BlowUpError, KrylovError, SchemeState,
                       bdf2_reference_step, extrapolate, gspm1_step, project,
                       scheme_a_step, scheme_b_init, scheme_b_step, si2_step,
                       unit_length_deviation)
-from .spectral import (SpectralPlan, build_plan, dense_operator_matrix,
-                       laplacian_eigenvalues, solve, solve_dense_oracle)
+from .spectral import SpectralPlan, build_plan, laplacian_eigenvalues, solve
 
 __version__ = "0.1.0"
 
@@ -43,13 +44,12 @@ __all__ = [
     "ManufacturedCase", "MaterialParams", "PhysicalConstants", "SchemeState",
     "SpectralPlan", "StabilityReport", "bdf2_reference_step", "biharmonic",
     "build_demag_kernel", "build_plan", "case_1d", "case_3d",
-    "classify_stability", "demag_field", "demag_tensor_entry",
-    "dense_operator_matrix", "energy", "extrapolate", "gspm1_step",
-    "integrate", "laplacian", "laplacian_eigenvalues", "local_field",
-    "neel_wall_initial", "nondimensionalize", "norm_inf", "norm_l2",
-    "observed_order", "project", "run_space_convergence",
-    "run_time_convergence", "run_wall_reference_convergence", "sample_scalar",
-    "sample_vector", "scheme_a_step", "scheme_b_init", "scheme_b_step",
-    "si2_step", "solve", "solve_dense_oracle", "stability_scan",
-    "unit_length_deviation", "wall_reference_solution",
+    "classify_stability", "demag_field", "demag_tensor_entry", "energy",
+    "extrapolate", "gspm1_step", "integrate", "laplacian",
+    "laplacian_eigenvalues", "local_field", "neel_wall_initial",
+    "nondimensionalize", "norm_inf", "norm_l2", "observed_order", "project",
+    "run_space_convergence", "run_time_convergence",
+    "run_wall_reference_convergence", "sample_scalar", "sample_vector",
+    "scheme_a_step", "scheme_b_init", "scheme_b_step", "si2_step", "solve",
+    "stability_scan", "unit_length_deviation", "wall_reference_solution",
 ]

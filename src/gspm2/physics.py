@@ -20,7 +20,10 @@ pair, which at 64 cells beats pocketfft's strided, zero-padded lines; its
 O(nx) cost per cell loses to them on a long x axis over few y and z cells
 (README's stray-field table). The z axis, the thickness of a film, is
 transformed by real products with a DFT matrix pair, one per x-mode, which
-on a few cells beats pocketfft's per-line overhead. After the x transform,
+on a few cells beats pocketfft's per-line overhead. Those matrices, and the
+parity matrix of the kernel build's z axis, come from `spectral`'s dense
+transform builders, cached there and shared with the solves' DCT-II: this
+module builds no transform matrix of its own. After the x transform,
 `demag_field` works through the x-modes in slabs of about _SLAB_BYTES per
 buffer. The kernel is built with its matrix pairs, slabs and buffers, so a
 call allocates only the field: the heap is not trimmed and refaulted on
@@ -47,7 +50,6 @@ bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,6 +58,7 @@ import numpy as np
 import scipy.fft
 
 from .mesh import Grid, is_number
+from .spectral import dft_pair, parity_matrix, real_dft_pair
 
 MU0 = 4.0e-7 * math.pi
 
@@ -231,52 +234,6 @@ _SHIFTS = (-1, 0, 1)
 _SLAB_BYTES = 256 * 1024
 
 
-def _dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The DFT of a length-n axis zero-padded to p modes, and the inverse DFT
-    truncated to its first n outputs, as real matrices on complex numbers
-    stored interleaved (re, im). The forward pair, (2, 1, 2n, p), maps an
-    interleaved row to its real part, then its imaginary part; the inverse
-    pair, (2, 1, p, 2n), maps a real and an imaginary row to the two halves
-    whose sum is the interleaved result. The middle axis lets both broadcast
-    over a slab's stacked (py, .) matrices. p is the kernel's padded length,
-    so the padding rule stays in `build_demag_kernel`; the kernel makes its z
-    pair once and holds it."""
-    # the integer phase reduced mod p keeps the exponent's angle below 2 pi
-    phase = (np.arange(n)[:, None] * np.arange(p)[None, :]) % p
-    F = np.exp(-2j * np.pi * phase / p)
-    F_inv = F.conj().T / p
-    forward = np.empty((2, 1, 2 * n, p))
-    forward[0, 0, 0::2], forward[0, 0, 1::2] = F.real, -F.imag
-    forward[1, 0, 0::2], forward[1, 0, 1::2] = F.imag, F.real
-    inverse = np.empty((2, 1, p, 2 * n))
-    inverse[0, 0, :, 0::2], inverse[0, 0, :, 1::2] = F_inv.real, F_inv.imag
-    inverse[1, 0, :, 0::2], inverse[1, 0, :, 1::2] = -F_inv.imag, F_inv.real
-    return forward, inverse
-
-
-def _real_dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real DFT of a length-n axis zero-padded to p, as the real
-    (2(p//2 + 1), n) matrix whose rows are, mode by mode, the cosine and the
-    minus sine row, and its inverse with the field's sign: the irfft of
-    those modes truncated to its first n outputs, negated, as the real
-    (n, 2(p//2 + 1)) matrix. The inverse weights the modes 1, 2, ..., 2, 1
-    over p. The sines of the modes that are real, 0 and p/2, are exact
-    zeros, so their imaginary parts are dropped as irfft drops them."""
-    # the integer phase reduced mod p keeps the angle below 2 pi
-    phase = (np.arange(p // 2 + 1)[:, None] * np.arange(n)[None, :]) % p
-    angle = 2.0 * np.pi * phase / p
-    cos = np.cos(angle)
-    sin = np.where(2 * phase % p == 0, 0.0, np.sin(angle))
-    forward = np.empty((2 * len(phase), n))
-    forward[0::2], forward[1::2] = cos, -sin
-    # p is even or 1, and on a single cell the one mode is both
-    weight = np.full((len(phase), 1), 2.0 / p)
-    weight[0] = weight[p // 2] = 1.0 / p
-    inverse = np.empty((n, 2 * len(phase)))
-    inverse[:, 0::2], inverse[:, 1::2] = (-weight * cos).T, (weight * sin).T
-    return forward, inverse
-
-
 def _second_difference(minus, zero, plus):
     """(zero - minus) + (zero - plus), the potential's second difference along
     one axis over the shifts k = -1, 0, 1. Swapping minus and plus gives the
@@ -334,17 +291,19 @@ class DemagKernel:
     one of length 1. `self_diag` holds the real-space self-interaction
     diagonal (Nxx(0), Nyy(0), Nzz(0)), whose sum is 1 for any cell shape.
 
-    Built with it, once, is all else `demag_field` reads: `_dft_z`, its z
-    DFT pair in real form; `_dft_x`, the real x DFT pair of `_real_dft_pair`
-    with the buffer (3, px//2 + 1, 2, ny, nz) of the x spectrum's real and
-    imaginary planes;
-    and `_slabs`, the even split of the x-modes into slabs of at most
-    _SLAB_BYTES per buffer (one mode at least), each its (lo, hi) and its
-    views of four buffers all slabs and calls share: the complex y lines
-    (3, w, py, nz), then as real and imaginary planes the z spectra
-    (3, 2, w, py, pz) and the output component (2, w, py, pz), and a scratch
-    buffer viewed both as a product term (2, w, py, pz) and as the two
-    halves (2, w, py, 2nz) of an inverse z product. Not thread safe.
+    Built with it, once, is all else `demag_field` reads: `_dft_z`, the z
+    DFT pair of `spectral.dft_pair` in real form; `_dft_x`, the real x DFT
+    pair of `spectral.real_dft_pair` with the buffer (3, px//2 + 1, 2, ny, nz)
+    of the x spectrum's real and imaginary planes. The pairs are references
+    to the cached, read-only matrices, shared by every kernel of the same
+    lengths; the buffers are the kernel's own. Then `_slabs`, the even split
+    of the x-modes into slabs of at most _SLAB_BYTES per buffer (one mode at
+    least), each its (lo, hi) and its views of four buffers all slabs and
+    calls share: the complex y lines (3, w, py, nz), then as real and
+    imaginary planes the z spectra (3, 2, w, py, pz) and the output
+    component (2, w, py, pz), and a scratch buffer viewed both as a product
+    term (2, w, py, pz) and as the two halves (2, w, py, 2nz) of an inverse
+    z product. Not thread safe.
     """
 
     def __init__(self, grid: Grid, fft_components: dict, padded_shape: tuple,
@@ -355,9 +314,9 @@ class DemagKernel:
         self.self_diag = self_diag
         nx, ny, nz = grid.shape
         px, py, pz = padded_shape
-        self._dft_z = _dft_pair(nz, pz)
+        self._dft_z = dft_pair(nz, pz)
         kx = px // 2 + 1
-        self._dft_x = (*_real_dft_pair(nx, px), np.empty((3, kx, 2, ny, nz)))
+        self._dft_x = (*real_dft_pair(nx, px), np.empty((3, kx, 2, ny, nz)))
         width = min(kx, max(1, _SLAB_BYTES // (16 * py * pz)))
         lines = np.empty(3 * width * py * nz, dtype=complex)
         spectra = np.empty(6 * width * py * pz)
@@ -381,33 +340,6 @@ class DemagKernel:
         return float(self.self_diag.sum())
 
 
-@functools.lru_cache(maxsize=None)
-def _parity_matrix(p: int, odd: bool, sign: float) -> np.ndarray:
-    """The real (n + 1, p) matrix, times `sign`, that takes the values d =
-    0..n of a half line to all p = 2n modes of its padded block's spectrum:
-    w_d cos(pi k d / n) where the block is even, w_d being 1 at d = 0 and n
-    and 2 between (the DCT-I), and 2 sin(pi k d / n) where it is odd, rows
-    d = 0 and n zero (the DST-I of the interior, without its -i). The modes
-    k > n come out as the fill from 2n - k with the parity sign, and every
-    entry that is zero in exact arithmetic is an exact zero. On an axis of
-    length 1 (p = 1) the line is its own spectrum, zero where odd. Cached and
-    read-only."""
-    if p == 1:
-        matrix = np.array([[0.0 if odd else sign]])
-    else:
-        n = p // 2
-        # the integer phase reduced mod p keeps the angle below 2 pi
-        kd = np.arange(n + 1)[:, None] * np.arange(p) % p
-        if odd:
-            matrix = np.where(kd % n == 0, 0.0, 2.0 * np.sin(np.pi * kd / n))
-        else:
-            matrix = np.where(2 * kd % p == n, 0.0, 2.0 * np.cos(np.pi * kd / n))
-            matrix[[0, n]] /= 2.0
-        matrix *= sign
-    matrix.flags.writeable = False
-    return matrix
-
-
 def _parity_spectrum(half: np.ndarray, odd, out: np.ndarray) -> np.ndarray:
     """Write into `out`, C-contiguous, the spectrum of the entry block whose
     non-negative half is `half`: d = 0..n along each padded axis of length
@@ -420,7 +352,7 @@ def _parity_spectrum(half: np.ndarray, odd, out: np.ndarray) -> np.ndarray:
     spectrum, zero where odd. x keeps modes 0..n, as a real FFT would, and y
     fills the modes k > n from 2n - k with the parity sign, by one copy in
     place; both take scipy.fft's transforms. z is one product with
-    `_parity_matrix`, which makes the fill itself and carries the -1 of an
+    `spectral.parity_matrix`, which makes the fill itself and carries the -1 of an
     off-diagonal entry's two odd axes, (-i)^2, and writes into `out`. d = 0
     is never read along an odd axis: the DST-I skips it, and along z it is
     zeroed first, since the product reads it times 0, whose sign would follow
@@ -449,7 +381,7 @@ def _parity_spectrum(half: np.ndarray, odd, out: np.ndarray) -> np.ndarray:
             lines[:, my:] = tail
     if odd[2]:
         lines[:, :, 0] = 0.0
-    matrix = _parity_matrix(pz, odd[2], -1.0 if any(odd) else 1.0)
+    matrix = parity_matrix(pz, odd[2], -1.0 if any(odd) else 1.0)
     np.matmul(lines.reshape(-1, mz), matrix, out=out.reshape(-1, pz))
     return out
 

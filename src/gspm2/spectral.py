@@ -22,6 +22,13 @@ relative), not bit for bit. Either way a (3, ...) stack is the batch of its
 components' transforms, so it matches per-component solves bit for bit.
 Tier-1 checks that a film solve is bit for bit the same with one BLAS
 thread as with the default pool.
+
+This module is also the one home of the closed-form dense transform
+matrices: the DCT-II of the solves, and the real x DFT, the complex z DFT
+and the parity (DCT-I/DST-I) matrix of the stray field in `physics`. Each
+builder forms its cosines and sines from one integer-reduced phase table,
+with a sine that is zero in exact arithmetic an exact 0, and each is cached
+per length and returns read-only arrays that its callers share.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .mesh import Grid, biharmonic, laplacian
+from .mesh import Grid, is_number
 
 
 def laplacian_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -41,31 +48,110 @@ def laplacian_eigenvalues(n: int, h: float) -> np.ndarray:
     return -(4.0 / (h * h)) * np.sin(np.pi * p / (2.0 * n)) ** 2
 
 
-# longest grid axis transformed by a dense matrix product; longer axes use
-# pocketfft. Measured crossover: a line gains up to about 160 cells, but a
-# square 2D grid loses from about 120 cells per side
+# longest grid axis the solves transform by a dense matrix product; longer
+# axes use pocketfft. Measured crossover: a line gains up to about 160
+# cells, but a square 2D grid loses from about 120 cells per side. The
+# stray field's transforms do not read it
 DENSE_AXIS_MAX = 100
 
 
+# The dense transform matrices (module docstring), all from `_phase_table`.
+
+def _phase_table(rows: np.ndarray, cols: np.ndarray,
+                 period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, sin, phase) of the angles 2 pi phase / period, phase = r c mod
+    period, over the integer rows r and columns c: a (len(rows), len(cols))
+    table. The phase is reduced as integers, so the angle stays below 2 pi,
+    and a sine that is zero in exact arithmetic (phase 0 or a half turn) is
+    an exact 0."""
+    phase = (rows[:, None] * cols[None, :]) % period
+    angle = 2.0 * np.pi * phase / period
+    sin = np.where(2 * phase % period == 0, 0.0, np.sin(angle))
+    return np.cos(angle), sin, phase
+
+
 @functools.lru_cache(maxsize=None)
-def _dct_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal DCT-II matrix of length n and its transpose, both
-    C-contiguous and read-only. The plans ask only for lengths up to
-    DENSE_AXIS_MAX, so the cache stays under 100 entries and 16 MB."""
-    p = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    # the integer phase reduced mod 4n keeps the cosine's argument below 2 pi
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * ((p * (2 * j + 1)) % (4 * n)) / (2 * n))
+def dct_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DCT-II matrix C[p, j] = s_p cos(pi p (2j+1) / (2n)),
+    s_0 = sqrt(1/n) and s_p = sqrt(2/n) otherwise, and its transpose, both
+    C-contiguous. Its cosines at a quarter turn are left as rounded (about
+    6e-17), as the solves have always taken them. The plans ask only for
+    lengths up to DENSE_AXIS_MAX, so the cache stays under 100 entries and
+    16 MB."""
+    cos, _, _ = _phase_table(np.arange(n), 2 * np.arange(n) + 1, 4 * n)
+    C = np.sqrt(2.0 / n) * cos
     C[0] = np.sqrt(1.0 / n)
     CT = np.ascontiguousarray(C.T)
     C.flags.writeable = CT.flags.writeable = False
     return C, CT
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix C[p, j] = s_p cos(pi p (2j+1) / (2n)), with
-    s_0 = sqrt(1/n) and s_p = sqrt(2/n) otherwise; built once per length."""
-    return _dct_pair(n)[0]
+@functools.lru_cache(maxsize=None)
+def dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DFT of a length-n axis zero-padded to p modes, and the inverse DFT
+    truncated to its first n outputs, as real matrices on complex numbers
+    stored interleaved (re, im). The forward pair, (2, 1, 2n, p), maps an
+    interleaved row to its real part, then its imaginary part; the inverse
+    pair, (2, 1, p, 2n), maps a real and an imaginary row to the two halves
+    whose sum is the interleaved result. The middle axis lets both broadcast
+    over a stack of (rows, .) matrices."""
+    cos, sin, _ = _phase_table(np.arange(n), np.arange(p), p)
+    forward = np.empty((2, 1, 2 * n, p))
+    forward[0, 0, 0::2], forward[0, 0, 1::2] = cos, sin
+    forward[1, 0, 0::2], forward[1, 0, 1::2] = -sin, cos
+    cos, sin = cos.T / p, sin.T / p
+    inverse = np.empty((2, 1, p, 2 * n))
+    inverse[0, 0, :, 0::2], inverse[0, 0, :, 1::2] = cos, sin
+    inverse[1, 0, :, 0::2], inverse[1, 0, :, 1::2] = -sin, cos
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def real_dft_pair(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real DFT of a length-n axis zero-padded to p, as the real
+    (2(p//2 + 1), n) matrix whose rows are, mode by mode, the cosine and the
+    minus sine row, and its inverse with a minus sign: the irfft of those
+    modes truncated to its first n outputs, negated, as the real
+    (n, 2(p//2 + 1)) matrix. The inverse weights the modes 1, 2, ..., 2, 1
+    over p. The sines of the modes that are real, 0 and p/2, are exact
+    zeros, so their imaginary parts are dropped as irfft drops them."""
+    cos, sin, _ = _phase_table(np.arange(p // 2 + 1), np.arange(n), p)
+    forward = np.empty((2 * len(cos), n))
+    forward[0::2], forward[1::2] = cos, -sin
+    # p is even or 1, and on a single cell the one mode is both
+    weight = np.full((len(cos), 1), 2.0 / p)
+    weight[0] = weight[p // 2] = 1.0 / p
+    inverse = np.empty((n, 2 * len(cos)))
+    inverse[:, 0::2], inverse[:, 1::2] = (-weight * cos).T, (weight * sin).T
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def parity_matrix(p: int, odd: bool, sign: float) -> np.ndarray:
+    """The real (n + 1, p) matrix, times `sign`, that takes the values d =
+    0..n of a half line to all p = 2n modes of the spectrum of its even or
+    odd extension: w_d cos(pi k d / n) where the extension is even, w_d being
+    1 at d = 0 and n and 2 between (the DCT-I), and 2 sin(pi k d / n) where
+    it is odd, rows d = 0 and n zero (the DST-I of the interior, without its
+    -i). The modes k > n come out as the fill from 2n - k with the parity
+    sign, and every entry that is zero in exact arithmetic is an exact zero:
+    the cosines at a quarter turn too. On an axis of length 1 (p = 1) the
+    line is its own spectrum, zero where odd."""
+    if p == 1:
+        matrix = np.array([[0.0 if odd else sign]])
+    else:
+        n = p // 2
+        cos, sin, phase = _phase_table(np.arange(n + 1), np.arange(p), p)
+        if odd:
+            matrix = 2.0 * sin
+        else:
+            matrix = np.where(2 * phase % p == n, 0.0, 2.0 * cos)
+            matrix[[0, n]] /= 2.0
+        matrix *= sign
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
@@ -83,7 +169,7 @@ def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
     """
     shape, lead = u.shape, u.shape[:-3]
     for n in lengths:
-        C, CT = _dct_pair(n)
+        C, CT = dct_pair(n)
         u = u.reshape(lead + (n, -1)).swapaxes(-1, -2) @ (C if inverse else CT)
     return u.reshape(shape)
 
@@ -121,10 +207,13 @@ class SpectralPlan:
     counter used by tests to pin the per-step solve budget of the schemes,
     and the most recent solve symbol, kept with its (a, b) so that the
     solves of one step share it. One entry, not a table: a CFL bisection
-    solves with a fresh dt on every probe. Not thread safe.
+    solves with a fresh dt on every probe. Not thread safe. Raises
+    TypeError unless `grid` is a Grid.
     """
 
     def __init__(self, grid: Grid):
+        if not isinstance(grid, Grid):
+            raise TypeError(f"grid must be a Grid, got {type(grid).__name__}")
         self.grid = grid
         self.lam_x = laplacian_eigenvalues(grid.nx, grid.hx)
         self.lam_y = laplacian_eigenvalues(grid.ny, grid.hy)
@@ -154,7 +243,7 @@ class SpectralPlan:
     def _trailing(self, u: np.ndarray, inverse: bool) -> np.ndarray:
         """The trailing axis's product in the grid's own layout: rows times
         C^T, or times C if `inverse`, batched over the leading axes."""
-        C, CT = _dct_pair(self._tail[-1])
+        C, CT = dct_pair(self._tail[-1])
         v = u.reshape(u.shape[:-3] + self._tail)
         return (v @ (C if inverse else CT)).reshape(u.shape)
 
@@ -181,11 +270,13 @@ def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.nda
 
     b = 0 selects the backward-Euler heat operator; a = b = 0 is the
     identity. A stack counts as one solve per component. Raises ValueError
-    for negative or non-finite coefficients, or when the trailing shape of f
-    is not the grid's.
+    unless a and b are finite numbers >= 0 (a bool, a string or an integer
+    beyond the float range is not one), or when the trailing shape of f is
+    not the grid's.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
-        raise ValueError(f"coefficients must be finite and >= 0, got a={a}, b={b}")
+    if not (is_number(a) and is_number(b) and math.isfinite(a) and math.isfinite(b)
+            and a >= 0.0 and b >= 0.0):
+        raise ValueError(f"coefficients must be finite numbers >= 0, got a={a!r}, b={b!r}")
     f = np.asarray(f, dtype=float)
     if f.shape[-3:] != plan.grid.shape:
         raise ValueError(f"field of shape {f.shape} does not end in the grid "
@@ -194,30 +285,3 @@ def solve(plan: SpectralPlan, f: np.ndarray, a: float, b: float = 0.0) -> np.nda
     plan.solve_count += f.size // plan.grid.n_cells
     return plan.inverse(plan.forward(f) / sym)
 
-
-DENSE_MAX_CELLS = 4096
-
-
-def dense_operator_matrix(grid: Grid, a: float, b: float = 0.0) -> np.ndarray:
-    """Assemble the dense matrix of (I - a*Lap + b*Lap^2) column by column.
-
-    Small grids only; used as the direct-solve oracle for the spectral path.
-    """
-    n = grid.n_cells
-    if n > DENSE_MAX_CELLS:
-        raise ValueError(f"grid has {n} cells, dense assembly capped at {DENSE_MAX_CELLS}")
-    A = np.empty((n, n))
-    e = np.zeros(grid.shape)
-    for col in range(n):
-        e.flat[col] = 1.0
-        image = e - a * laplacian(grid, e) + b * biharmonic(grid, e)
-        A[:, col] = image.ravel()
-        e.flat[col] = 0.0
-    return A
-
-
-def solve_dense_oracle(grid: Grid, f: np.ndarray, a: float, b: float = 0.0) -> np.ndarray:
-    """Direct dense solve of the same operator (test oracle, small grids)."""
-    A = dense_operator_matrix(grid, a, b)
-    u = np.linalg.solve(A, np.asarray(f, dtype=float).ravel())
-    return u.reshape(grid.shape)

@@ -392,8 +392,9 @@ def _direct_stray(g, m):
 
 
 def _fresh(kernel):
-    """The same spectra on a new kernel, which makes its own z matrices,
-    slabs and buffers, at the slab width _SLAB_BYTES gives now."""
+    """The same spectra on a new kernel, which takes the cached x and z
+    matrices and makes its own slabs and buffers, at the slab width
+    _SLAB_BYTES gives now."""
     return DemagKernel(kernel.grid, kernel.fft, kernel.padded_shape,
                        kernel.self_diag)
 

@@ -310,7 +310,7 @@ class TestInputsUnchanged:
 
 class TestSchemeBInit:
     def test_matches_dense_oracle(self):
-        from gspm2.spectral import solve_dense_oracle
+        from oracles import solve_dense_oracle
         grid = Grid(3, 2, 1, 1.0, 1.0, 1.0)
         plan = build_plan(grid)
         params = MaterialParams(eps=0.7, alpha=0.1)
@@ -327,7 +327,7 @@ class TestSchemeBInit:
     def test_field_and_difference_match_dense_oracle(self):
         # g^0 carries dt f(m_hat) like every later lagged field; d^0 is the
         # solved level difference the step's bookkeeping starts from
-        from gspm2.spectral import solve_dense_oracle
+        from oracles import solve_dense_oracle
         grid = Grid(3, 2, 1, 1.0, 1.0, 1.0)
         plan = build_plan(grid)
         params = MaterialParams(eps=0.7, alpha=0.1, h_ext=(0.3, -0.2, 0.5))

@@ -1,5 +1,6 @@
-"""Tests of the spectral solver: eigenvalues, transforms, solves, the dense
-oracle, and one stacked solve per transform layout pinned bit for bit.
+"""Tests of the spectral module: eigenvalues, the dense transform matrices
+against scipy.fft, transforms, solves against the dense oracle of
+`oracles.py`, and one stacked solve per transform layout pinned bit for bit.
 
 The fixture `data/golden_spectral.json` holds the sha256 of one stacked
 solve per grid of GOLDEN_SHAPES. Like the other golden fixtures it is tied
@@ -21,9 +22,10 @@ import pytest
 import scipy.fft
 
 from gspm2.mesh import Grid, laplacian
-from gspm2.spectral import (DENSE_AXIS_MAX, build_plan, dct_matrix,
-                            dense_operator_matrix, laplacian_eigenvalues, solve,
-                            solve_dense_oracle)
+from gspm2.spectral import (DENSE_AXIS_MAX, SpectralPlan, build_plan, dct_pair,
+                            dft_pair, laplacian_eigenvalues, parity_matrix,
+                            real_dft_pair, solve)
+from oracles import dense_operator_matrix, solve_dense_oracle
 from test_cli_golden import changes
 
 # an axis at the dense-transform limit and one just beyond it, alone and
@@ -32,6 +34,16 @@ from test_cli_golden import changes
 D, P = DENSE_AXIS_MAX, DENSE_AXIS_MAX + 1
 DENSE_LIMIT_SHAPES = [(D, 1, 1), (P, 1, 1), (1, D, 1), (1, 1, P), (P, 5, 1),
                       (3, 1, P + 1), (D, 3, 2), (2, P, 3), (4, 4, P), (P, P, 3)]
+
+# axis lengths for the demag kernel's DFT matrices, each padded as the
+# kernel pads it: to 1 on a single cell, else to twice its length
+KERNEL_LENGTHS = [1, 2, 3, 5, 17, 64, 250]
+
+# how far a DFT matrix may sit from scipy.fft's, per unit of its entries'
+# size: its closed-form angle 2 pi phase / p rounds by up to an ulp of 2 pi,
+# which puts its cos and sin up to 8.3e-16 from the exact ones, and
+# pocketfft's up to 5.6e-16 (measured for p <= 500 against 30 digits)
+DFT_TOL = 2e-15
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_spectral.json")
 # a line, the 10,000-cell line, the reduced film, a grid with one long axis
@@ -85,16 +97,95 @@ class TestTransform:
         assert np.abs(lhs - rhs).max() < 1e-11
 
 
+def _padded(n):
+    return 1 if n == 1 else 2 * n
+
+
+def _half_turns(rows, cols, p):
+    """Where the phase r c mod p of a (rows, cols) table is 0 or p/2: the
+    sines there are zero in exact arithmetic."""
+    return 2 * np.outer(rows, cols) % p == 0
+
+
 class TestDenseTransform:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, D, P, 256])
     def test_matrix_is_scipy_dct(self, n):
+        C, CT = dct_pair(n)
         want = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
-        assert np.abs(dct_matrix(n) - want).max() <= 1e-15
+        assert np.abs(C - want).max() <= 1e-15
+        assert np.array_equal(CT, C.T) and CT.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_x_pair_is_scipy_rfft(self, n):
+        # forward: the rfft of the zero-padded identity, a cosine and a minus
+        # sine row per mode; inverse: the irfft of each unit mode, real and
+        # imaginary, truncated to n outputs and negated
+        p = _padded(n)
+        forward, inverse = real_dft_pair(n, p)
+        spectra = scipy.fft.rfft(np.eye(n), n=p, axis=0)
+        assert np.abs(forward[0::2] - spectra.real).max() <= DFT_TOL
+        assert np.abs(forward[1::2] - spectra.imag).max() <= DFT_TOL
+        modes = np.eye(p // 2 + 1)
+        for columns, unit in ((inverse[:, 0::2], 1.0), (inverse[:, 1::2], 1j)):
+            want = -scipy.fft.irfft(unit * modes, n=p, axis=0)[:n]
+            assert np.abs(columns - want).max() <= DFT_TOL
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_z_pair_is_scipy_fft(self, n):
+        # forward rows 2j and 2j + 1 read the inputs e_j and i e_j: their
+        # zero-padded fft, real part then imaginary part; inverse rows k of
+        # the two halves are the interleaved truncated ifft of e_k and i e_k
+        p = _padded(n)
+        forward, inverse = dft_pair(n, p)
+        spectra = scipy.fft.fft(np.eye(n), n=p, axis=1).repeat(2, axis=0)
+        spectra[1::2] *= 1j
+        assert np.abs(forward[0, 0] - spectra.real).max() <= DFT_TOL
+        assert np.abs(forward[1, 0] - spectra.imag).max() <= DFT_TOL
+        lines = scipy.fft.ifft(np.eye(p), axis=1)[:, :n]
+        for half, unit in zip(inverse[:, 0], (1.0, 1j)):
+            assert np.abs(half - (unit * lines).view(float)).max() <= DFT_TOL
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_parity_matrix_is_fft_of_extension(self, n, sign, odd):
+        # row d is, times sign, the fft of unit half line d's even or odd
+        # extension to the padded axis; an odd one's fft is -i times the row
+        p = _padded(n)
+        lines = np.zeros((p // 2 + 1, p))
+        for d in range(p // 2 + 1):
+            if odd:
+                lines[d, d] += 1.0
+                lines[d, -d % p] -= 1.0
+            else:
+                lines[d, [d, -d % p]] = 1.0
+        spectra = scipy.fft.fft(lines, axis=1)
+        want = sign * (-spectra.imag if odd else spectra.real)
+        # the entries are twice a cosine or a sine
+        assert np.abs(parity_matrix(p, odd, sign) - want).max() <= 2 * DFT_TOL
 
     def test_matrix_is_cached_and_read_only(self):
-        C = dct_matrix(7)
-        assert dct_matrix(7) is C
-        assert not C.flags.writeable
+        for build, args in [(dct_pair, (7,)), (dft_pair, (3, 6)),
+                            (real_dft_pair, (5, 10)), (parity_matrix, (6, True, -1.0))]:
+            got = build(*args)
+            assert build(*args) is got
+            for matrix in got if isinstance(got, tuple) else (got,):
+                assert not matrix.flags.writeable, build.__name__
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_half_turn_sines_are_exact_zeros(self, n):
+        p = _padded(n)
+        modes, cells = np.arange(p // 2 + 1), np.arange(n)
+        forward, inverse = real_dft_pair(n, p)
+        at = _half_turns(modes, cells, p)
+        assert np.all(forward[1::2][at] == 0.0) and np.all(inverse[:, 1::2][at.T] == 0.0)
+        forward, inverse = dft_pair(n, p)
+        at = _half_turns(cells, np.arange(p), p)
+        for sines in (forward[0, 0, 1::2], forward[1, 0, 0::2],
+                      inverse[0, 0, :, 1::2].T, inverse[1, 0, :, 0::2].T):
+            assert np.all(sines[at] == 0.0)
+        at = _half_turns(modes, np.arange(p), p)
+        assert np.all(parity_matrix(p, True, 1.0)[at] == 0.0)
 
     @pytest.mark.parametrize("shape", DENSE_LIMIT_SHAPES)
     def test_matches_scipy_dctn(self, shape):
@@ -149,9 +240,17 @@ class TestSolve:
     def test_rejects_bad_coefficients(self):
         plan = build_plan(Grid.line(4))
         f = np.zeros(plan.grid.shape)
-        for a, b in [(-0.1, 0.0), (0.1, -1.0), (np.nan, 0.0), (0.0, np.inf)]:
+        # a bool is an int to Python, and 10**400 overflows a float
+        for a, b in [(-0.1, 0.0), (0.1, -1.0), (np.nan, 0.0), (0.0, np.inf),
+                     (True, 0.0), (0.1, False), ("0.1", 0.0), (10**400, 0.0)]:
             with pytest.raises(ValueError):
                 solve(plan, f, a, b)
+        assert plan.solve_count == 0
+
+    def test_plan_rejects_non_grid(self):
+        for grid in ["grid", (4, 1, 1), None]:
+            with pytest.raises(TypeError, match="must be a Grid"):
+                SpectralPlan(grid)
 
     def test_solve_count_increments(self):
         plan = build_plan(Grid.line(4))
