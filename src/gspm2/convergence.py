@@ -37,10 +37,15 @@ _STEPPERS = {
 
 @dataclass
 class IntegrationResult:
+    """A run's final state and its worst unit deviations over all steps:
+    after each projection (`max_unit_deviation`) and before it
+    (`max_projection_deviation`, the steps' health signal)."""
+
     state: SchemeState
     max_unit_deviation: float
     n_steps: int
     solve_count: int
+    max_projection_deviation: float = 0.0
 
 
 def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
@@ -74,7 +79,7 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
     stepper = _STEPPERS[scheme]
     state = SchemeState.from_initial(m0)
     solves_before = plan.solve_count
-    max_dev = 0.0
+    max_dev = max_projection = 0.0
     for k in range(n_steps):
         if k == 0:
             state = gspm1_step(state, params, plan, dt, kernel=kernel, source=source)
@@ -82,11 +87,13 @@ def integrate(scheme: str, m0: np.ndarray, grid: Grid, params: MaterialParams,
             state = stepper(state, params, plan, dt, kernel=kernel, source=source,
                             **(step_kwargs or {}))
         max_dev = max(max_dev, unit_length_deviation(state.m_curr))
+        max_projection = max(max_projection, state.projection_deviation)
         if on_step is not None:
             on_step(state)
     return IntegrationResult(state=state, max_unit_deviation=max_dev,
                              n_steps=n_steps,
-                             solve_count=plan.solve_count - solves_before)
+                             solve_count=plan.solve_count - solves_before,
+                             max_projection_deviation=max_projection)
 
 
 def observed_order(points) -> float:

@@ -109,7 +109,7 @@ class MaterialParams:
 
     @property
     def has_local_field(self) -> bool:
-        return self.q != 0.0 or any(c != 0.0 for c in self.h_ext) or self.stray_enabled
+        return self.q != 0.0 or self.h_ext != (0.0, 0.0, 0.0) or self.stray_enabled
 
 
 @dataclass(frozen=True)

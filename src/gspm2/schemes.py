@@ -43,12 +43,25 @@ and the slot h_i = m_i*. g is solved from h (three solves) unless the row is
   (q + 2 d - g) / 2. `scheme_b_init` builds g^0 and d^0; a step from a
   state without them calls it first.
 
-The sweep keeps h and g as (3, ...) arrays of its own (copies where they
-would be the state's) and writes the rows into one preallocated m* with
-out= and in-place operations, each one operation of the expression above in
+The sweep, `_sweep`, keeps h and g as (3, ...) arrays of its own (copies
+where they would be the state's) and writes the rows into m* with out= and
+in-place operations, each one operation of the expression above in
 Python's evaluation order, so the rows are bit for bit those of the plain
-expression; beyond m* the rows need two scratch planes. m* is then
-projected in place.
+expression. What does not change from row to row is formed once, in
+(3, ...) operations: every row's base, written into m* before the first
+row; dt src; and the products h_c g_c and h_c h_c, whose sums left to right
+are the two dot products. A refresh renews only its own component's two
+products. The rows take their views of these stacks once per step. On
+tens of cells a numpy call's fixed cost outweighs its arithmetic, and these
+are the calls a row-by-row sweep would repeat.
+Every scratch array has the (3, ...) or one-plane size of a row-by-row
+sweep, never a larger block: on long lines a block beyond glibc's mmap
+threshold would be mapped and faulted in afresh on every step. The scratch
+is allocated before m*, the one array the step keeps, and is freed when
+`_sweep` returns, before the projection allocates its own. m* is then
+projected in place. The projection returns the step's health signal, the
+largest ||m*| - 1| before it, which the new state carries as
+`projection_deviation`.
 
 `bdf2_reference_step` is a fully coupled semi-implicit solve used as a
 reference integrator.
@@ -65,6 +78,7 @@ its first step; runs without a local field carry nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,7 +113,9 @@ class SchemeState:
     approximates L^(-1)(m^n - m^(n-1)).
     f_prev and f_curr are the pointwise fields f(m^(n-1)) and f(m^n) of runs
     with a local field; a state built without them gets them at its first
-    step.
+    step. projection_deviation is the health signal of the step that made
+    the state: max over cells of ||m*| - 1| before its projection, 0 for a
+    state no step made.
     """
 
     m_prev: np.ndarray
@@ -110,6 +126,7 @@ class SchemeState:
     d_prev: np.ndarray | None = None
     f_prev: np.ndarray | None = None
     f_curr: np.ndarray | None = None
+    projection_deviation: float = 0.0
 
     @classmethod
     def from_initial(cls, m0: np.ndarray) -> "SchemeState":
@@ -123,26 +140,29 @@ def extrapolate(m_prev: np.ndarray, m_curr: np.ndarray) -> np.ndarray:
     return 2.0 * m_curr - m_prev
 
 
-def _normalized(m: np.ndarray, context: str, magnitude_cap: float | None) -> np.ndarray:
-    """m divided, in place, by its per-cell magnitude; BlowUpError first if a
-    magnitude is non-finite (a NaN or inf anywhere makes their max so),
+def _normalized(m: np.ndarray, context: str, magnitude_cap: float | None) -> float:
+    """Divide m, in place, by its per-cell magnitude and return max over cells
+    of |magnitude - 1| from the magnitudes' max and min; BlowUpError first
+    if a magnitude is non-finite (a NaN or inf anywhere makes their max so),
     above `magnitude_cap` or below PROJECTION_FLOOR."""
     mag = pointwise_magnitude(m)
     top = mag.max()
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise BlowUpError(f"non-finite magnetization in {context}")
     if magnitude_cap is not None and top > magnitude_cap:
         cell = tuple(int(c) for c in np.unravel_index(int(mag.argmax()), mag.shape))
         raise BlowUpError(
             f"pre-projection magnitude {top:.3g} > {magnitude_cap} at cell "
             f"{cell} in {context}")
-    if mag.min() < PROJECTION_FLOOR:
+    bottom = mag.min()
+    if bottom < PROJECTION_FLOOR:
         cell = tuple(int(c) for c in np.unravel_index(int(mag.argmin()), mag.shape))
         raise BlowUpError(
-            f"magnitude {mag.min():.3g} below {PROJECTION_FLOOR} at cell {cell} "
+            f"magnitude {bottom:.3g} below {PROJECTION_FLOOR} at cell {cell} "
             f"in {context}")
     m /= mag
-    return m
+    # |x - 1| rounds monotonically in x, so the extremes give its max exactly
+    return float(max(top - 1.0, 1.0 - bottom))
 
 
 def project(m: np.ndarray) -> np.ndarray:
@@ -151,7 +171,9 @@ def project(m: np.ndarray) -> np.ndarray:
     A magnitude below 1e-12 anywhere is a hard error naming the cell; it
     signals blow-up and is what the stability scanner listens for.
     """
-    return _normalized(np.array(m, dtype=float), "projection", None)
+    m = np.array(m, dtype=float)
+    _normalized(m, "projection", None)
+    return m
 
 
 def unit_length_deviation(m: np.ndarray) -> float:
@@ -172,7 +194,7 @@ def _with_field(state: SchemeState, params: MaterialParams,
     """The state with f of both levels filled in, if the run has a local
     field and the state lacks them; one evaluation when the levels are the
     same array (an initial state), two otherwise."""
-    if not params.has_local_field or state.f_curr is not None:
+    if state.f_curr is not None or not params.has_local_field:
         return state
     f_curr = local_field(params, state.m_curr, kernel)
     f_prev = (f_curr if state.m_prev is state.m_curr
@@ -200,23 +222,15 @@ def _source_of(source, grid, t: float) -> np.ndarray | None:
 def _finish(state: SchemeState, m_star: np.ndarray, dt: float, context: str,
             params: MaterialParams, kernel, g_prev=None,
             d_prev=None) -> SchemeState:
-    """Project m_star, which the step owns, onto the sphere in place;
-    evaluate the step's one pointwise field on the projected m^(n+1) and
-    shift the carried pair along."""
-    m_next = _normalized(m_star, context, BLOWUP_MAGNITUDE)
-    f_next = local_field(params, m_next, kernel) if params.has_local_field else None
-    return SchemeState(m_prev=state.m_curr, m_curr=m_next, t=state.t + dt,
+    """Project m_star, which the step owns, onto the sphere in place, keeping
+    its pre-projection deviation; evaluate the step's one pointwise field on
+    the projected m^(n+1) and shift the carried pair along."""
+    deviation = _normalized(m_star, context, BLOWUP_MAGNITUDE)
+    f_next = local_field(params, m_star, kernel) if params.has_local_field else None
+    return SchemeState(m_prev=state.m_curr, m_curr=m_star, t=state.t + dt,
                        step_index=state.step_index + 1, g_prev=g_prev,
-                       d_prev=d_prev, f_prev=state.f_curr, f_curr=f_next)
-
-
-def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """u0 v0 + u1 v1 + u2 v2 into `out`, summed left to right; `tmp` is
-    scratch of the same shape."""
-    np.multiply(u[0], v[0], out=out)
-    out += np.multiply(u[1], v[1], out=tmp)
-    out += np.multiply(u[2], v[2], out=tmp)
-    return out
+                       d_prev=d_prev, f_prev=state.f_curr, f_curr=f_next,
+                       projection_deviation=deviation)
 
 
 @dataclass(frozen=True)
@@ -248,61 +262,89 @@ def split_step(state: SchemeState, params: MaterialParams,
     state = _with_field(state, params, kernel)
     if scheme.lagged and (state.g_prev is None or state.d_prev is None):
         state = scheme_b_init(state, params, plan, dt, kernel=kernel)
+    m_star, g = _sweep(state, params, plan, dt, scheme, source)
+    context = f"{scheme.name} step {state.step_index}"
+    if not scheme.lagged:
+        return _finish(state, m_star, dt, context, params, kernel)
+    # d^(n+1) = (g + 2 d - g_prev) / 2, in one array
+    d_next = np.multiply(state.d_prev, 2.0)
+    np.add(g, d_next, out=d_next)
+    d_next -= state.g_prev
+    d_next *= 0.5
+    return _finish(state, m_star, dt, context, params, kernel,
+                   g_prev=g + state.d_prev, d_prev=d_next)
+
+
+def _sweep(state: SchemeState, params: MaterialParams,
+           plan: spectral.SpectralPlan, dt: float, scheme: SplitScheme,
+           source) -> tuple[np.ndarray, np.ndarray]:
+    """(m*, g) of the row sweep, m* unprojected; its scratch is freed on
+    return, before the projection allocates its own."""
     src = _source_of(source, plan.grid, state.t + dt)
+    if src is not None:
+        src = src * dt      # the source's own array is left as it is
     h, f = _frozen_field(state, scheme.bdf2)
     a = params.eps * dt
     b = a * a if scheme.bdf2 else 0.0
+    dt_f = None if f is None else dt * f
 
     def solve(x, i):
         """L^(-1)(x + dt f_i); i = ... solves all three components."""
-        return spectral.solve(plan, x if f is None else x + dt * f[i], a, b)
+        return spectral.solve(plan, x if dt_f is None else x + dt_f[i], a, b)
 
     mp, mc, alpha = state.m_prev, state.m_curr, params.alpha
     # g and h become this step's work arrays; neither may be the state's
     g = state.g_prev.copy() if scheme.lagged else solve(h, ...)
     if not scheme.bdf2 and scheme.refreshed:
         h = h.copy()
-    m_star = np.empty_like(mc)
+    # the products h_c g_c and h_c h_c; a refresh renews its component's.
+    # The scratch goes before m*, the one array the step keeps
+    hg, hh = h * g, h * h
+    dot_hg, dot_hh = np.empty_like(mc[0]), np.empty_like(mc[0])
     t, s = np.empty_like(mc[0]), np.empty_like(mc[0])
-    for i in range(3):
+    # every row's base, 2 m^n - m^(n-1)/2 or m^n, in (3, ...) operations;
+    # m^(n-1)/2 is freed before the rows allocate their solves' arrays
+    if scheme.bdf2:
+        half_mp = np.multiply(mp, 0.5)
+        m_star = np.multiply(mc, 2.0)
+        m_star -= half_mp
+        del half_mp
+    else:
+        m_star = mc.copy()
+    # the rows of each stack as views, taken once
+    H, G, HG, HH = tuple(h), tuple(g), tuple(hg), tuple(hh)
+    for i, row in enumerate(m_star):
         j, k = (i + 1) % 3, (i + 2) % 3
-        row = m_star[i]
-        np.multiply(h[j], g[k], out=t)
-        np.multiply(h[k], g[j], out=s)
-        np.subtract(t, s, out=t)
-        if scheme.bdf2:
-            np.multiply(mc[i], 2.0, out=row)
-            np.multiply(mp[i], 0.5, out=s)
-            row -= s
-            row -= t
-        else:
-            np.subtract(mc[i], t, out=row)
-        _dot(h, g, t, s)
-        t *= alpha
-        t *= h[i]
+        h_i, g_i = H[i], G[i]
+        if i == 0 or i <= scheme.refreshed:
+            # alpha (h.g) and alpha |h|^2, each summed left to right; only
+            # a refresh of the row before changes them
+            np.add(HG[0], HG[1], out=dot_hg)
+            dot_hg += HG[2]
+            dot_hg *= alpha
+            np.add(HH[0], HH[1], out=dot_hh)
+            dot_hh += HH[2]
+            dot_hh *= alpha
+        np.multiply(H[j], G[k], out=t)
+        t -= np.multiply(H[k], G[j], out=s)
         row -= t
-        _dot(h, h, t, s)
-        t *= alpha
-        t *= g[i]
-        row += t
+        row -= np.multiply(dot_hg, h_i, out=t)
+        row += np.multiply(dot_hh, g_i, out=t)
         if src is not None:
-            row += np.multiply(src[i], dt, out=t)
+            row += src[i]
         if scheme.bdf2:
             row *= 2.0 / 3.0
         if i < scheme.refreshed:
             if scheme.bdf2:
-                np.multiply(row, 2.0, out=h[i])
-                h[i] -= np.multiply(mc[i], 2.0, out=t)
-                h[i] += mp[i]
+                np.multiply(row, 2.0, out=h_i)
+                h_i -= np.multiply(mc[i], 2.0, out=t)
+                h_i += mp[i]
             else:
-                h[i] = row
-            g[i] = solve(h[i], i)
-    context = f"{scheme.name} step {state.step_index}"
-    if not scheme.lagged:
-        return _finish(state, m_star, dt, context, params, kernel)
-    return _finish(state, m_star, dt, context, params, kernel,
-                   g_prev=g + state.d_prev,
-                   d_prev=0.5 * (g + 2.0 * state.d_prev - state.g_prev))
+                h_i[...] = row
+            g_i[...] = solve(h_i, i)
+            np.multiply(h_i, g_i, out=HG[i])
+            np.multiply(h_i, h_i, out=HH[i])
+    return m_star, g
 
 
 def gspm1_step(state: SchemeState, params: MaterialParams, plan: spectral.SpectralPlan,

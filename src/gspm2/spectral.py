@@ -10,10 +10,12 @@ invertible and the division is well conditioned.
 A grid takes one of two transform layouts. Where no axis is longer than
 DENSE_AXIS_MAX (a line, a film, a small cube), each axis longer than 1 takes
 one BLAS product with the orthonormal DCT-II matrix C (C^T for the inverse),
-built in closed form once per length. The products run on a transposed
-view, each output putting the next axis first: (x, y, z) -> (y, z, x') ->
-(z, x', y') -> (x', y', z'). On such axes a pocketfft call costs more in
-per-call and per-line overhead than the O(n) products do in arithmetic.
+built in closed form once per length; a plan holds its axes' matrices for
+either direction, so a transform looks nothing up. The products run on a
+transposed view, each output putting the next axis first: (x, y, z) ->
+(y, z, x') -> (z, x', y') -> (x', y', z'). On such axes a pocketfft call
+costs more in per-call and per-line overhead than the O(n) products do in
+arithmetic.
 Any other grid goes through scipy.fft's dctn over every axis longer than 1,
 except its last such axis when that axis is short: that one takes a single
 product in the grid's own layout, rows times C^T, after the pocketfft axes
@@ -154,23 +156,23 @@ def parity_matrix(p: int, odd: bool, sign: float) -> np.ndarray:
     return matrix
 
 
-def _rotated(u: np.ndarray, lengths: tuple, inverse: bool) -> np.ndarray:
-    """Transform u along its grid axes of the given lengths, x to z, by the
-    DCT-II matrix C or, if `inverse`, by C^T: one product per axis.
+def _rotated(u: np.ndarray, matrices: tuple) -> np.ndarray:
+    """Transform u along its grid axes, x to z, by the given (length,
+    matrix) pairs: C^T for the forward transform, C for the inverse, one
+    product per axis.
 
     The axis being transformed is first in memory, so the product takes the
     grid as the transpose of an (n, rest) matrix, times C^T (or C) on the
     right, and its (rest, n) result puts the next axis first: (x, y, z) ->
     (y, z, x') -> (z, x', y') -> (x', y', z'). After the last axis the
     layout is the grid's again. Axes of length 1 transform to themselves and
-    are left out of `lengths`; with none left, the result is a view of u.
+    are left out of `matrices`; with none left, the result is a view of u.
     The leading (component) axes are the product's batch, so a stack
     matches its components bit for bit.
     """
     shape, lead = u.shape, u.shape[:-3]
-    for n in lengths:
-        C, CT = dct_pair(n)
-        u = u.reshape(lead + (n, -1)).swapaxes(-1, -2) @ (C if inverse else CT)
+    for n, matrix in matrices:
+        u = u.reshape(lead + (n, -1)).swapaxes(-1, -2) @ matrix
     return u.reshape(shape)
 
 
@@ -223,20 +225,23 @@ class SpectralPlan:
             + self.lam_y[None, :, None]
             + self.lam_z[None, None, :]
         )
-        self._fft_axes, self._rotated, self._tail = _axis_layout(grid.shape)
+        self._fft_axes, rotated, self._tail = _axis_layout(grid.shape)
+        # the rotated products' (length, matrix) pairs of either direction
+        self._forward_matrices = tuple((n, dct_pair(n)[1]) for n in rotated)
+        self._inverse_matrices = tuple((n, dct_pair(n)[0]) for n in rotated)
         self.solve_count = 0
         self._symbol_key = None
         self._symbol = None
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         if not self._fft_axes:
-            return _rotated(u, self._rotated, inverse=False)
+            return _rotated(u, self._forward_matrices)
         u = scipy.fft.dctn(u, type=2, norm="ortho", axes=self._fft_axes)
         return u if self._tail is None else self._trailing(u, inverse=False)
 
     def inverse(self, u_hat: np.ndarray) -> np.ndarray:
         if not self._fft_axes:
-            return _rotated(u_hat, self._rotated, inverse=True)
+            return _rotated(u_hat, self._inverse_matrices)
         u_hat = scipy.fft.idctn(u_hat, type=2, norm="ortho", axes=self._fft_axes)
         return u_hat if self._tail is None else self._trailing(u_hat, inverse=True)
 

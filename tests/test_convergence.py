@@ -151,3 +151,42 @@ class TestStabilityScan:
         assert any(stable_prob) and not all(stable_prob)
         d = report.to_dict()
         assert d["rows"][0]["h"] == 0.1
+
+
+class TestProjectionDeviation:
+    """The steps' health signal, max over cells of ||m*| - 1| before each
+    projection, against a direct recomputation from the unprojected m*."""
+
+    def test_running_max_of_a_sourced_run(self, monkeypatch):
+        from gspm2 import schemes
+        original = schemes._normalized
+        seen = []
+
+        def recording(m, context, magnitude_cap):
+            direct = schemes.unit_length_deviation(m)
+            deviation = original(m, context, magnitude_cap)
+            seen.append((direct, deviation))
+            return deviation
+
+        monkeypatch.setattr(schemes, "_normalized", recording)
+        case = case_1d(alpha=1.0)
+        grid = Grid.line(40)
+        m0 = case.exact(*grid.centers, 0.0)
+        states = []
+        res = integrate("scheme-b", m0, grid, MaterialParams(eps=1.0, alpha=1.0),
+                        0.2 / 40 ** 2, 30, source=case.source,
+                        on_step=states.append)
+        assert len(seen) == len(states) == 30
+        for (direct, deviation), state in zip(seen, states):
+            assert deviation == direct == state.projection_deviation
+        assert res.max_projection_deviation == max(d for d, _ in seen) > 0.0
+        assert res.max_unit_deviation <= 4 * np.finfo(float).eps
+
+    def test_zero_without_steps(self):
+        grid = Grid.line(4)
+        m0 = np.zeros((3,) + grid.shape)
+        m0[2] = 1.0
+        res = integrate("scheme-a", m0, grid, MaterialParams(eps=1.0, alpha=0.1),
+                        1e-3, 0)
+        assert res.max_projection_deviation == 0.0
+        assert res.state.projection_deviation == 0.0

@@ -93,6 +93,21 @@ def test_bitwise_equal_to_fixture(golden, scheme, family):
         assert np.array_equal(value, golden[key]), key
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_carried_arrays_hold_no_scratch(scheme, family):
+    """Every array the final state carries owns its data or is a view of an
+    array of its own size: a step's scratch, freed with the step, is never
+    kept alive by a slice of it."""
+    grid, params, m0, dt, kernel, source = _family(family)
+    state = integrate(scheme, m0, grid, params, dt, N_STEPS, kernel=kernel,
+                      source=source).state
+    for name in FIELDS:
+        value = getattr(state, name)
+        if value is not None:
+            assert value.flags.owndata or value.base.size == value.size, name
+
+
 def test_changes_names_each_differing_entry():
     old = {"a": np.zeros(2), "b": np.ones(2), "c": np.zeros(1), "s": np.zeros(2)}
     new = {"a": np.array([0.0, 1e-15]), "b": np.ones(2), "d": np.zeros(1),

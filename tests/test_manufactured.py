@@ -235,6 +235,23 @@ class TestSpatialFactorCache:
         assert case != case_1d(0.2, "cosine")
 
 
+class TestSourceBuffers:
+    """The source reuses work arrays per grid; what it returns stays the
+    caller's."""
+
+    @pytest.mark.parametrize("make,grid", [(case_1d, Grid.line(16)),
+                                           (case_3d, Grid.cube(4))],
+                             ids=["1", "3"])
+    def test_successive_calls_return_separate_arrays(self, make, grid):
+        case = make(0.3)
+        first = case.source(*grid.centers, 0.4)
+        kept = first.copy()
+        second = case.source(*grid.centers, 0.9)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, make(0.3).source(*_writable(grid), 0.9))
+
+
 class TestOncePerGrid:
     @pytest.fixture
     def calls(self, monkeypatch):
